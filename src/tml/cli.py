@@ -190,7 +190,7 @@ def _cmd_campaign(args) -> int:
         tol=args.tol,
         budget=args.budget,
     )
-    rows = run_suite(cfg, threads=args.threads)
+    rows = run_suite(cfg)
     write_report([r.as_dict() for r in rows], args.out, fmt=args.format)
     failed = sum(1 for r in rows if not r.passed)
     print(f"suite {args.suite}: {len(rows)} rows, {len(rows) - failed} passed, {failed} failed")
@@ -206,7 +206,7 @@ def _cmd_sequence(args) -> int:
     spec = SequenceSpec(
         family=args.family, base=base, length=args.length, rate=args.rate, seed=args.seed
     )
-    rows = run_sequence_experiment(spec, budget=args.budget, threads=args.threads)
+    rows = run_sequence_experiment(spec, budget=args.budget)
     write_report([r.as_dict() for r in rows], args.out, fmt=args.format)
     failed = sum(1 for r in rows if not r.passed)
     print(f"family {args.family}: {len(rows)} rows, {len(rows) - failed} passed, {failed} failed")
@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("dist", help="compute a distance between two space files")
-    p.add_argument("--kind", required=True, choices=[k.value for k in DistanceKind if k.value != "hausdorff"])
+    p.add_argument("--kind", required=True, choices=[k.value for k in DistanceKind])
     p.add_argument("a", metavar="A")
     p.add_argument("b", metavar="B")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
@@ -269,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.set_defaults(func=_cmd_campaign)
@@ -281,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.set_defaults(func=_cmd_sequence)

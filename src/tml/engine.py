@@ -14,20 +14,27 @@ cost:
   space obtained by gluing the two spaces along the correspondence at offset
   half its distortion.
 
-Shrinking a correspondence never increases the Hausdorff-style costs and never
-decreases distortion, so the exact minima are attained on minimal
-correspondences (those where every related pair has an endpoint of degree one).
+Shrinking a correspondence never increases distortion or the Hausdorff-style
+costs, so the exact minima are attained on minimal correspondences (those
+where every related pair has an endpoint of degree one).
 ``minimal_correspondences`` streams them exactly once each, in lexicographic
 order of their sorted pair tuples.
 
 The pointed and zero-set objectives have no known exact finite reformulation;
-for them the scan returns a certified 2-approximation interval
-[upper / 2, upper], tightened from below by simple bounds.
+for them a complete scan returns a certified 2-approximation interval
+[upper / 2, upper], tightened from below by simple bounds.  A scan cut short
+by its budget certifies only the simple bounds.
+
+Each kind is one objective record (``_objective``): its inputs checked, its
+fast cost, and the pair sets every candidate must contain.  One scan and one
+result assembler serve all six drivers and ``local_search_upper``; the plain
+per-correspondence functions stay as the independent check of certificates.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -59,7 +66,6 @@ class DistanceKind(Enum):
     PT_GH = "pt-gh"
     BB_GH = "bb-gh"
     FD_HH = "fd-hh"
-    HAUSDORFF = "hausdorff"
 
 
 @dataclass(frozen=True)
@@ -250,16 +256,17 @@ def fd_glued_objective(
 
 
 # ---------------------------------------------------------------------------
-# Result type and search drivers.
+# Result type and the objective record shared by every search.
 
 
 @dataclass(frozen=True)
 class DistanceResult:
     """A certified interval [lower, upper] for one distance kind.
 
-    is_exact means lower == upper.  The certificate re-evaluates to upper under
-    the matching per-correspondence cost.  `anchor` carries the basepoint pair
-    for pointed kinds; `zero_pairs` the zero-set pairing for fd-hh.
+    is_exact means the scan ran to completion and lower == upper.  The
+    certificate re-evaluates to upper under the matching per-correspondence
+    cost.  `anchor` carries the basepoint pair for pointed kinds; `zero_pairs`
+    is the certificate's restriction to the two zero sets for fd-hh.
     """
 
     kind: DistanceKind
@@ -307,176 +314,196 @@ class _Workspace:
         return self.S[ids].min(axis=0) + delta
 
 
-def _scan(stream, cost_of, budget: int):
-    """Minimize a cost over a stream of pair tuples with a deterministic
-    lexicographic tie-break, counting evaluations against the budget."""
-    best = math.inf
-    best_pairs = None
-    explored = 0
-    exhausted = False
-    it = iter(stream)
-    sentinel = object()
-    while True:
-        item = next(it, sentinel)
-        if item is sentinel:
-            break
-        if explored >= budget:
-            exhausted = True
-            break
-        explored += 1
-        value = cost_of(item)
-        if value < best or (value == best and best_pairs is not None and item < best_pairs):
-            best = value
-            best_pairs = item
-    return best, best_pairs, explored, exhausted
-
-
 def _base_of(space) -> FiniteMetricSpace:
     return space.base if isinstance(space, TimedMetricSpace) else space
 
 
-def _tau_value_gap(t1: TimedMetricSpace, t2: TimedMetricSpace) -> float:
-    """Hausdorff distance between the two sets of time values on the line."""
-    gaps = np.abs(t1.tau[:, None] - t2.tau[None, :])
-    return _maxmin(gaps)
-
-
 def simple_lower_bounds(kind: DistanceKind, a, b) -> float:
     """Cheap certified lower bounds: half the diameter gap for every kind,
-    joined with the time-value-range bound for tau-h."""
+    joined for tau-h with the Hausdorff distance between the two sets of time
+    values on the line."""
     x1, x2 = _base_of(a), _base_of(b)
     bound = abs(x1.diameter - x2.diameter) / 2.0
     if kind is DistanceKind.TAU_H:
         if not (isinstance(a, TimedMetricSpace) and isinstance(b, TimedMetricSpace)):
             raise TypeError("tau-h bounds need timed spaces")
-        bound = max(bound, _tau_value_gap(a, b))
+        bound = max(bound, _maxmin(np.abs(a.tau[:, None] - b.tau[None, :])))
     return float(bound)
 
 
-def _finish_exact(kind, best, pairs, explored, exhausted, n1, n2, fallback, **extra):
-    if not exhausted:
-        cert = Correspondence(n1=n1, n2=n2, pairs=pairs, minimal=pairs_are_minimal(pairs))
-        return DistanceResult(
-            kind=kind,
-            lower=float(best),
-            upper=float(best),
-            is_exact=True,
-            certificate=cert,
-            explored=explored,
-            budget_exhausted=False,
-            **extra,
+@dataclass(frozen=True)
+class _Objective:
+    """One distance kind between two checked inputs.
+
+    `cost` maps a sorted pair tuple to the kind's per-correspondence cost.
+    `required` holds the pair sets merged into each minimal correspondence,
+    one candidate per set: none for gh/kappa-gh/tau-h, the basepoint pair for
+    pt-gh/bb-gh, every minimal zero-set correspondence for fd-hh.  `exact`:
+    the least cost is the distance itself, not a 2-approximation of it.
+    `floor` is the kind's simple lower bound.
+    """
+
+    kind: DistanceKind
+    n1: int
+    n2: int
+    cost: Callable[[tuple], float]
+    required: tuple[tuple[tuple[int, int], ...], ...]
+    exact: bool
+    floor: float
+    anchor: tuple[int, int] | None = None
+    zeros: tuple[list[int], list[int]] | None = None
+
+
+def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Objective:
+    """Check the inputs of `kind` and build its objective between a and b."""
+    x1, x2 = _base_of(a), _base_of(b)
+    anchor = zeros = zsel = None
+    required = ()
+    if kind is DistanceKind.PT_GH:
+        if basepoints is None:
+            raise InvalidBasepoint("pt-gh needs a basepoint pair")
+        for p, x in zip(basepoints, (x1, x2)):
+            if not (0 <= p < x.n):
+                raise InvalidBasepoint(f"basepoint {p} outside [0, {x.n})")
+        anchor = (int(basepoints[0]), int(basepoints[1]))
+    elif kind is DistanceKind.BB_GH:
+        for side, t in ((1, a), (2, b)):
+            if classify(t, tol) is not SpaceClass.BIG_BANG:
+                raise NotBigBang(side)
+        anchor = tuple(structure_report(t, delta=tol).zero_set[0] for t in (a, b))
+    elif kind is DistanceKind.FD_HH:
+        for side, t in ((1, a), (2, b)):
+            if classify(t, tol) is SpaceClass.GENERIC:
+                raise NotFutureDeveloped(side)
+        z1, z2 = zeros = tuple(list(structure_report(t, delta=tol).zero_set) for t in (a, b))
+        zsel = np.ix_(z1, z2)
+        required = tuple(
+            tuple((z1[i], z2[j]) for i, j in zp) for zp in _minimal_pair_tuples(len(z1), len(z2))
         )
-    cert = None
-    upper = math.inf
-    if pairs is not None:
-        cert = Correspondence(n1=n1, n2=n2, pairs=pairs, minimal=pairs_are_minimal(pairs))
-        upper = float(best)
-    return DistanceResult(
+    elif kind not in (DistanceKind.GH, DistanceKind.KAPPA_GH, DistanceKind.TAU_H):
+        raise ValueError(f"unknown distance kind {kind!r}")
+    if anchor is not None:
+        required = ((anchor,),)
+    floor = simple_lower_bounds(kind, a, b)
+    work = _Workspace(x1, x2)
+    tau_gap = np.abs(a.tau[:, None] - b.tau[None, :]) if kind is DistanceKind.TAU_H else None
+
+    if kind is DistanceKind.GH:
+        def cost(pairs):
+            return work.distortion(work.ids(pairs)) / 2.0
+    elif not required:
+        def cost(pairs):
+            return work.hausdorff_cost(work.ids(pairs), tau_gap)
+    else:
+        # Hausdorff cost plus the anchor or zero-set cost, in the gluing at
+        # half the distortion.
+        def cost(pairs):
+            ids = work.ids(pairs)
+            cross = work.cross(ids, work.distortion(ids) / 2.0)
+            return _maxmin(cross) + (float(cross[anchor]) if zsel is None else _maxmin(cross[zsel]))
+
+    return _Objective(
         kind=kind,
-        lower=min(float(fallback), upper),
+        n1=x1.n,
+        n2=x2.n,
+        cost=cost,
+        required=required,
+        exact=not required,
+        floor=floor,
+        anchor=anchor,
+        zeros=zeros,
+    )
+
+
+def _candidates(obj: _Objective):
+    """The scan's stream: each minimal correspondence merged with each
+    required pair set, as sorted pair tuples."""
+    minimal = _minimal_pair_tuples(obj.n1, obj.n2)
+    if not obj.required:
+        return minimal
+
+    def merged():
+        for pairs in minimal:
+            have = set(pairs)
+            for extra in obj.required:
+                yield pairs if have.issuperset(extra) else tuple(sorted(have.union(extra)))
+
+    return merged()
+
+
+def _result(obj: _Objective, value, pairs, explored, complete, exhausted=False) -> DistanceResult:
+    """Assemble the certified interval for the best candidate found.  Only a
+    complete scan certifies its least cost (exact kinds) or half of it (the
+    2-approximations); otherwise the simple bounds alone certify lower."""
+    upper = math.inf if pairs is None else float(value)
+    if complete:
+        lower = upper if obj.exact else min(max(obj.floor, upper / 2.0), upper)
+    else:
+        lower = min(obj.floor, upper)
+    cert = zero_pairs = None
+    if pairs is not None:
+        cert = Correspondence(n1=obj.n1, n2=obj.n2, pairs=pairs, minimal=pairs_are_minimal(pairs))
+        if obj.zeros is not None:
+            z1, z2 = set(obj.zeros[0]), set(obj.zeros[1])
+            zero_pairs = tuple((p, q) for p, q in pairs if p in z1 and q in z2)
+    return DistanceResult(
+        kind=obj.kind,
+        lower=lower,
         upper=upper,
-        is_exact=False,
+        is_exact=complete and lower == upper,
         certificate=cert,
         explored=explored,
-        budget_exhausted=True,
-        **extra,
+        budget_exhausted=exhausted,
+        anchor=obj.anchor,
+        zero_pairs=zero_pairs,
     )
+
+
+def _solve(kind, a, b, budget: int, tol: float = DEFAULT_TOL, basepoints=None) -> DistanceResult:
+    """Minimize the kind's cost over its candidate stream with a deterministic
+    lexicographic tie-break, counting evaluations against the budget."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    obj = _objective(kind, a, b, tol, basepoints)
+    cost = obj.cost
+    best = math.inf
+    best_pairs = None
+    explored = 0
+    exhausted = False
+    for pairs in _candidates(obj):
+        if explored >= budget:
+            exhausted = True
+            break
+        explored += 1
+        value = cost(pairs)
+        if value < best or (value == best and best_pairs is not None and pairs < best_pairs):
+            best, best_pairs = value, pairs
+    return _result(obj, best, best_pairs, explored, not exhausted, exhausted)
+
+
+# ---------------------------------------------------------------------------
+# Drivers.
 
 
 def gh_distance(
     x1: FiniteMetricSpace, x2: FiniteMetricSpace, budget: int = DEFAULT_BUDGET
 ) -> DistanceResult:
     """Gromov-Hausdorff distance: half the minimal distortion."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    work = _Workspace(x1, x2)
-    best, pairs, explored, exhausted = _scan(
-        _minimal_pair_tuples(x1.n, x2.n),
-        lambda p: work.distortion(work.ids(p)) / 2.0,
-        budget,
-    )
-    fallback = simple_lower_bounds(DistanceKind.GH, x1, x2)
-    return _finish_exact(DistanceKind.GH, best, pairs, explored, exhausted, x1.n, x2.n, fallback)
+    return _solve(DistanceKind.GH, x1, x2, budget)
 
 
 def kappa_gh_distance(
     x1: FiniteMetricSpace, x2: FiniteMetricSpace, budget: int = DEFAULT_BUDGET
 ) -> DistanceResult:
     """Best Hausdorff distance between paired distance-profile embeddings."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    work = _Workspace(x1, x2)
-    best, pairs, explored, exhausted = _scan(
-        _minimal_pair_tuples(x1.n, x2.n),
-        lambda p: work.hausdorff_cost(work.ids(p)),
-        budget,
-    )
-    fallback = simple_lower_bounds(DistanceKind.KAPPA_GH, x1, x2)
-    return _finish_exact(
-        DistanceKind.KAPPA_GH, best, pairs, explored, exhausted, x1.n, x2.n, fallback
-    )
+    return _solve(DistanceKind.KAPPA_GH, x1, x2, budget)
 
 
 def tau_h_distance(
     t1: TimedMetricSpace, t2: TimedMetricSpace, budget: int = DEFAULT_BUDGET
 ) -> DistanceResult:
     """Timed-Hausdorff distance: the profile-embedding cost with time joined in."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    work = _Workspace(t1.base, t2.base)
-    tau_gap = np.abs(t1.tau[:, None] - t2.tau[None, :])
-    best, pairs, explored, exhausted = _scan(
-        _minimal_pair_tuples(t1.n, t2.n),
-        lambda p: work.hausdorff_cost(work.ids(p), tau_gap),
-        budget,
-    )
-    fallback = simple_lower_bounds(DistanceKind.TAU_H, t1, t2)
-    return _finish_exact(DistanceKind.TAU_H, best, pairs, explored, exhausted, t1.n, t2.n, fallback)
-
-
-def _pointed_scan(x1, p1, x2, p2, budget, kind):
-    work = _Workspace(x1, x2)
-    bp = (int(p1), int(p2))
-
-    def cost(pairs):
-        ids = work.ids(pairs)
-        delta = work.distortion(ids) / 2.0
-        cross = work.cross(ids, delta)
-        return _maxmin(cross) + float(cross[bp])
-
-    def stream():
-        for pairs in _minimal_pair_tuples(x1.n, x2.n):
-            if bp in pairs:
-                yield pairs
-            else:
-                yield tuple(sorted(pairs + (bp,)))
-
-    best, pairs, explored, exhausted = _scan(stream(), cost, budget)
-    gh_floor = simple_lower_bounds(kind, x1, x2)
-    if pairs is None:
-        return DistanceResult(
-            kind=kind,
-            lower=gh_floor,
-            upper=math.inf,
-            is_exact=False,
-            certificate=None,
-            explored=explored,
-            budget_exhausted=exhausted,
-            anchor=bp,
-        )
-    upper = float(best)
-    lower = min(max(gh_floor, upper / 2.0), upper)
-    cert = Correspondence(n1=x1.n, n2=x2.n, pairs=pairs, minimal=pairs_are_minimal(pairs))
-    return DistanceResult(
-        kind=kind,
-        lower=lower,
-        upper=upper,
-        is_exact=lower == upper,
-        certificate=cert,
-        explored=explored,
-        budget_exhausted=exhausted,
-        anchor=bp,
-    )
+    return _solve(DistanceKind.TAU_H, t1, t2, budget)
 
 
 def pointed_gh(
@@ -494,13 +521,7 @@ def pointed_gh(
     most 2v, so the scan finds an objective at most 2v.  Hence the true value
     lies in [upper / 2, upper].
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if not (0 <= p1 < x1.n):
-        raise InvalidBasepoint(f"basepoint {p1} outside [0, {x1.n})")
-    if not (0 <= p2 < x2.n):
-        raise InvalidBasepoint(f"basepoint {p2} outside [0, {x2.n})")
-    return _pointed_scan(x1, p1, x2, p2, budget, DistanceKind.PT_GH)
+    return _solve(DistanceKind.PT_GH, x1, x2, budget, basepoints=(p1, p2))
 
 
 def bb_gh(
@@ -510,14 +531,7 @@ def bb_gh(
     tol: float = DEFAULT_TOL,
 ) -> DistanceResult:
     """Pointed objective anchored at the big bang points of two big bang spaces."""
-    if classify(t1, tol) is not SpaceClass.BIG_BANG:
-        raise NotBigBang(1)
-    if classify(t2, tol) is not SpaceClass.BIG_BANG:
-        raise NotBigBang(2)
-    p1 = structure_report(t1, delta=tol).zero_set[0]
-    p2 = structure_report(t2, delta=tol).zero_set[0]
-    result = _pointed_scan(t1.base, p1, t2.base, p2, budget, DistanceKind.BB_GH)
-    return result
+    return _solve(DistanceKind.BB_GH, t1, t2, budget, tol)
 
 
 def fd_hh(
@@ -528,79 +542,7 @@ def fd_hh(
 ) -> DistanceResult:
     """Hausdorff-plus-zero-set objective for future developed spaces, certified
     within a factor of two by the same gluing argument as the pointed kind."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if classify(t1, tol) is SpaceClass.GENERIC:
-        raise NotFutureDeveloped(1)
-    if classify(t2, tol) is SpaceClass.GENERIC:
-        raise NotFutureDeveloped(2)
-    zeros1 = list(structure_report(t1, delta=tol).zero_set)
-    zeros2 = list(structure_report(t2, delta=tol).zero_set)
-    work = _Workspace(t1.base, t2.base)
-    zsel = np.ix_(zeros1, zeros2)
-
-    def cost(item):
-        pairs, _ = item
-        ids = work.ids(pairs)
-        delta = work.distortion(ids) / 2.0
-        cross = work.cross(ids, delta)
-        return _maxmin(cross) + _maxmin(cross[zsel])
-
-    zero_streams = [
-        tuple((zeros1[a], zeros2[b]) for a, b in zp)
-        for zp in _minimal_pair_tuples(len(zeros1), len(zeros2))
-    ]
-
-    def stream():
-        for pairs in _minimal_pair_tuples(t1.n, t2.n):
-            have = set(pairs)
-            for zpairs in zero_streams:
-                if have.issuperset(zpairs):
-                    yield pairs, zpairs
-                else:
-                    yield tuple(sorted(have.union(zpairs))), zpairs
-
-    best = math.inf
-    best_pairs = None
-    best_zero = None
-    explored = 0
-    exhausted = False
-    for item in stream():
-        if explored >= budget:
-            exhausted = True
-            break
-        explored += 1
-        value = cost(item)
-        pairs, zpairs = item
-        key = (pairs, zpairs)
-        if value < best or (value == best and best_pairs is not None and key < (best_pairs, best_zero)):
-            best, best_pairs, best_zero = value, pairs, zpairs
-    gh_floor = simple_lower_bounds(DistanceKind.FD_HH, t1, t2)
-    if best_pairs is None:
-        return DistanceResult(
-            kind=DistanceKind.FD_HH,
-            lower=gh_floor,
-            upper=math.inf,
-            is_exact=False,
-            certificate=None,
-            explored=explored,
-            budget_exhausted=exhausted,
-        )
-    upper = float(best)
-    lower = min(max(gh_floor, upper / 2.0), upper)
-    cert = Correspondence(
-        n1=t1.n, n2=t2.n, pairs=best_pairs, minimal=pairs_are_minimal(best_pairs)
-    )
-    return DistanceResult(
-        kind=DistanceKind.FD_HH,
-        lower=lower,
-        upper=upper,
-        is_exact=lower == upper,
-        certificate=cert,
-        explored=explored,
-        budget_exhausted=exhausted,
-        zero_pairs=best_zero,
-    )
+    return _solve(DistanceKind.FD_HH, t1, t2, budget, tol)
 
 
 def reevaluate(result: DistanceResult, a, b) -> float:
@@ -617,62 +559,24 @@ def reevaluate(result: DistanceResult, a, b) -> float:
     if result.kind in (DistanceKind.PT_GH, DistanceKind.BB_GH):
         p1, p2 = result.anchor
         return pointed_glued_objective(corr, _base_of(a), p1, _base_of(b), p2)
-    if result.kind is DistanceKind.FD_HH:
-        zeros1 = [z for z, _ in result.zero_pairs]
-        zeros2 = [z for _, z in result.zero_pairs]
-        return fd_glued_objective(corr, a, b, sorted(set(zeros1)), sorted(set(zeros2)))
-    raise ValueError(f"no certificate evaluation for kind {result.kind}")
+    zeros1 = sorted({z for z, _ in result.zero_pairs})
+    zeros2 = sorted({z for _, z in result.zero_pairs})
+    return fd_glued_objective(corr, a, b, zeros1, zeros2)
 
 
 # ---------------------------------------------------------------------------
 # Heuristic upper bounds by local search.
 
 
-def _kind_cost_fn(kind, a, b, basepoints, zeros):
-    x1, x2 = _base_of(a), _base_of(b)
-    work = _Workspace(x1, x2)
-    if kind is DistanceKind.GH:
-        return lambda pairs: work.distortion(work.ids(pairs)) / 2.0
-    if kind is DistanceKind.KAPPA_GH:
-        return lambda pairs: work.hausdorff_cost(work.ids(pairs))
-    if kind is DistanceKind.TAU_H:
-        tau_gap = np.abs(a.tau[:, None] - b.tau[None, :])
-        return lambda pairs: work.hausdorff_cost(work.ids(pairs), tau_gap)
-    if kind in (DistanceKind.PT_GH, DistanceKind.BB_GH):
-        bp = basepoints
-
-        def pointed(pairs):
-            ids = work.ids(pairs)
-            cross = work.cross(ids, work.distortion(ids) / 2.0)
-            return _maxmin(cross) + float(cross[bp])
-
-        return pointed
-    if kind is DistanceKind.FD_HH:
-        zsel = np.ix_(list(zeros[0]), list(zeros[1]))
-
-        def fd(pairs):
-            ids = work.ids(pairs)
-            cross = work.cross(ids, work.distortion(ids) / 2.0)
-            return _maxmin(cross) + _maxmin(cross[zsel])
-
-        return fd
-    raise ValueError(f"unsupported kind for local search: {kind}")
-
-
-def _required_pairs(kind, basepoints) -> set:
-    return {basepoints} if kind in (DistanceKind.PT_GH, DistanceKind.BB_GH) else set()
-
-
-def _keeps_coverage(pairs: set, drop, n1, n2, zeros) -> bool:
-    rest = [p for p in pairs if p != drop]
-    if {a for a, _ in rest} != set(range(n1)) or {b for _, b in rest} != set(range(n2)):
+def _covers(pairs: set, n1, n2, zeros) -> bool:
+    """Full projections onto both point sets and, for fd-hh, onto both zero sets."""
+    if {a for a, _ in pairs} != set(range(n1)) or {b for _, b in pairs} != set(range(n2)):
         return False
-    if zeros is not None:
-        z1, z2 = set(zeros[0]), set(zeros[1])
-        restricted = [(a, b) for a, b in rest if a in z1 and b in z2]
-        if {a for a, _ in restricted} != z1 or {b for _, b in restricted} != z2:
-            return False
-    return True
+    if zeros is None:
+        return True
+    z1, z2 = set(zeros[0]), set(zeros[1])
+    inside = [(a, b) for a, b in pairs if a in z1 and b in z2]
+    return {a for a, _ in inside} == z1 and {b for _, b in inside} == z2
 
 
 def local_search_upper(
@@ -688,78 +592,51 @@ def local_search_upper(
     Starts from the modular diagonal pairing (the identity when the spaces
     share a size) plus seeded random restarts; moves add a pair, drop a
     droppable pair, or swap one endpoint.  Deterministic for a given seed.
+    Inputs are checked as the exact driver of the same kind checks them;
+    `basepoints` is the pt-gh basepoint pair.
     """
-    x1, x2 = _base_of(a), _base_of(b)
-    n1, n2 = x1.n, x2.n
-    zeros = None
-    if kind is DistanceKind.FD_HH:
-        zeros = (
-            structure_report(a, delta=DEFAULT_TOL).zero_set,
-            structure_report(b, delta=DEFAULT_TOL).zero_set,
-        )
-        if not zeros[0] or not zeros[1]:
-            raise NotFutureDeveloped(1 if not zeros[0] else 2)
-    if kind in (DistanceKind.PT_GH, DistanceKind.BB_GH):
-        if basepoints is None:
-            r1 = structure_report(a, delta=DEFAULT_TOL)
-            r2 = structure_report(b, delta=DEFAULT_TOL)
-            if len(r1.zero_set) != 1:
-                raise NotBigBang(1)
-            if len(r2.zero_set) != 1:
-                raise NotBigBang(2)
-            basepoints = (r1.zero_set[0], r2.zero_set[0])
-    cost_fn = _kind_cost_fn(kind, a, b, basepoints, zeros)
-    required = _required_pairs(kind, basepoints)
+    obj = _objective(kind, a, b, basepoints=basepoints)
+    n1, n2, zeros = obj.n1, obj.n2, obj.zeros
+    pinned = {obj.anchor} if obj.anchor is not None else set()
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), n1, n2]))
 
-    def start_diagonal():
-        pairs = {(i, i % n2) for i in range(n1)} | {(j % n1, j) for j in range(n2)}
-        return pairs | required | _zero_patch(pairs)
+    def start(pairs):
+        """Add the pinned pair, and relate each uncovered zero point to the
+        first zero point of the other side."""
+        pairs |= pinned
+        if zeros is not None:
+            z1, z2 = zeros
+            inside = [(p, q) for p, q in pairs if p in z1 and q in z2]
+            pairs |= {(p, z2[0]) for p in set(z1) - {p for p, _ in inside}}
+            pairs |= {(z1[0], q) for q in set(z2) - {q for _, q in inside}}
+        return pairs
 
-    def _zero_patch(pairs):
-        if zeros is None:
-            return set()
-        z1, z2 = zeros
-        extra = set()
-        restricted = [(p, q) for p, q in pairs if p in set(z1) and q in set(z2)]
-        for p in set(z1) - {x for x, _ in restricted}:
-            extra.add((p, z2[0]))
-        for q in set(z2) - {y for _, y in restricted}:
-            extra.add((z1[0], q))
-        return extra
-
-    def start_random():
-        pairs = {(i, int(rng.integers(n2))) for i in range(n1)}
-        pairs |= {(int(rng.integers(n1)), j) for j in range(n2)}
-        return pairs | required | _zero_patch(pairs)
+    universe = [(i, j) for i in range(n1) for j in range(n2)]
 
     def neighbors(pairs: set):
-        ordered = sorted(pairs)
-        universe = [(i, j) for i in range(n1) for j in range(n2)]
+        movable = sorted(pairs - pinned)
         for q in universe:
             if q not in pairs:
                 yield pairs | {q}
-        for p in ordered:
-            if p in required:
-                continue
-            if _keeps_coverage(pairs, p, n1, n2, zeros):
+        for p in movable:
+            if _covers(pairs - {p}, n1, n2, zeros):
                 yield pairs - {p}
-        for p in ordered:
-            if p in required:
-                continue
+        for p in movable:
             for q in universe:
-                if q in pairs or (q[0] != p[0] and q[1] != p[1]):
-                    continue
-                cand = (pairs - {p}) | {q}
-                if _keeps_coverage(cand | {p}, p, n1, n2, zeros):
-                    yield cand
+                if q not in pairs and (q[0] == p[0] or q[1] == p[1]):
+                    cand = (pairs - {p}) | {q}
+                    if _covers(cand, n1, n2, zeros):
+                        yield cand
 
     best_value = math.inf
     best_pairs = None
     explored = 0
-    starts = [start_diagonal()] + [start_random() for _ in range(3)]
+    starts = [start({(i, i % n2) for i in range(n1)} | {(j % n1, j) for j in range(n2)})]
+    for _ in range(3):
+        rows = {(i, int(rng.integers(n2))) for i in range(n1)}
+        starts.append(start(rows | {(int(rng.integers(n1)), j) for j in range(n2)}))
     for current in starts:
-        value = cost_fn(tuple(sorted(current)))
+        value = obj.cost(tuple(sorted(current)))
         explored += 1
         for _ in range(iterations):
             improved = None
@@ -767,7 +644,7 @@ def local_search_upper(
             for cand in neighbors(current):
                 cand_t = tuple(sorted(cand))
                 explored += 1
-                cv = cost_fn(cand_t)
+                cv = obj.cost(cand_t)
                 if cv < improved_value or (
                     cv == improved_value and improved is not None and cand_t < tuple(sorted(improved))
                 ):
@@ -779,20 +656,7 @@ def local_search_upper(
         if value < best_value or (value == best_value and key < best_pairs):
             best_value, best_pairs = value, key
 
-    lower = simple_lower_bounds(kind, a, b)
-    upper = float(best_value)
-    cert = Correspondence(n1=n1, n2=n2, pairs=best_pairs, minimal=pairs_are_minimal(best_pairs))
-    return DistanceResult(
-        kind=kind,
-        lower=min(lower, upper),
-        upper=upper,
-        is_exact=False,
-        certificate=cert,
-        explored=explored,
-        budget_exhausted=False,
-        anchor=basepoints if kind in (DistanceKind.PT_GH, DistanceKind.BB_GH) else None,
-        zero_pairs=None,
-    )
+    return _result(obj, best_value, best_pairs, explored, complete=False)
 
 
 def require_exact(result: DistanceResult) -> DistanceResult:

@@ -6,16 +6,14 @@ of one inequality; slack = rhs - lhs, and an asserting row passes when
 slack >= -tol.  Observational rows (ratio logging) always pass and exist so
 reports capture the measured constants.
 
-Trials are independent, so they may run on a thread pool; rows are ordered by
-trial id regardless of completion order, which keeps reports byte-identical
-across thread counts.
+Trials run one after another in trial order, so a configuration always
+yields the same rows in the same order and byte-identical reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -498,20 +496,15 @@ def _check_config(cfg: CampaignConfig) -> None:
         )
 
 
-def run_suite(cfg: CampaignConfig, threads: int = 1) -> list[ReportRow]:
+def run_suite(cfg: CampaignConfig) -> list[ReportRow]:
     """Run one suite (or all of them); rows are ordered by suite then trial."""
     _check_config(cfg)
     names = SUITES[:-1] if cfg.suite == "all" else (cfg.suite,)
     rows: list[ReportRow] = []
     for name in names:
         body = _TRIAL_BODIES[name]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(lambda t: body(cfg, t), range(cfg.trials)))
-        else:
-            parts = [body(cfg, t) for t in range(cfg.trials)]
-        for part in parts:
-            rows.extend(part)
+        for trial in range(cfg.trials):
+            rows.extend(body(cfg, trial))
     return rows
 
 
@@ -576,7 +569,6 @@ def run_sequence_experiment(
     kinds=None,
     tol: float = 1e-7,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> list[SequenceRow]:
     """Distances from each element to the limit, with per-row decay checks.
 
@@ -591,8 +583,7 @@ def run_sequence_experiment(
     elements, limit = build_sequence(spec)
     limit_is_bb = classify(limit) is SpaceClass.BIG_BANG
 
-    def measure(args):
-        j, element = args
+    def measure(j, element):
         report = structure_report(element, delta=0.0)
         values: dict = {}
         if DistanceKind.GH in kinds:
@@ -606,12 +597,7 @@ def run_sequence_experiment(
             values["bb"] = _complete(bb_gh(element, limit, budget=budget))
         return j, element, report, values
 
-    items = list(enumerate(elements))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            measured = list(pool.map(measure, items))
-    else:
-        measured = [measure(item) for item in items]
+    measured = [measure(j, element) for j, element in enumerate(elements)]
 
     if spec.family == "perturb-geometric":
         calibration = measured[0][3]["tau"].upper

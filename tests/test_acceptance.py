@@ -375,8 +375,8 @@ def test_sequence_decay(capsys):
 def test_reports_are_deterministic(capsys, tmp_path):
     cfg = tml.CampaignConfig(suite="all", trials=3, nmax=3, seed=9)
     blobs = {}
-    for tag, threads in (("a", 1), ("b", 1), ("c", 4)):
-        rows = [r.as_dict() for r in tml.run_suite(cfg, threads=threads)]
+    for tag in ("a", "b", "c"):
+        rows = [r.as_dict() for r in tml.run_suite(cfg)]
         csv_path = tmp_path / f"{tag}.csv"
         jsonl_path = tmp_path / f"{tag}.jsonl"
         tml.write_report(rows, csv_path, fmt="csv")
@@ -384,4 +384,4 @@ def test_reports_are_deterministic(capsys, tmp_path):
         blobs[tag] = (csv_path.read_bytes(), jsonl_path.read_bytes())
     ok = blobs["a"] == blobs["b"] == blobs["c"]
     emit(capsys, 13, ok,
-         "reports byte-identical across repeated runs and thread counts")
+         "reports byte-identical across repeated runs")

@@ -149,7 +149,7 @@ def test_campaign_reports_failures(tmp_path, capsys, monkeypatch):
         class1="metric", class2="metric", seed=7, lhs=1.0, rhs=0.5,
         slack=-0.5, passed=False, details="{}",
     )
-    monkeypatch.setattr(tml.cli, "run_suite", lambda cfg, threads=1: [bad_row])
+    monkeypatch.setattr(tml.cli, "run_suite", lambda cfg: [bad_row])
     code, out, err = run(capsys, "campaign", "--suite", "sandwich", "--trials", "1",
                          "--out", str(tmp_path / "r.csv"))
     assert code == 3

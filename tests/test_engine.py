@@ -332,8 +332,53 @@ def test_budget_semantics():
     # a budget equal to the stream length is not an exhaustion
     fits = tml.gh_distance(x1, x2, budget=15)
     assert fits.is_exact and not fits.budget_exhausted
-    with pytest.raises(ValueError):
-        tml.gh_distance(x1, x2, budget=0)
+
+    bb1 = tml.random_time_function(23, x1, model="cone")
+    bb2 = tml.random_time_function(24, x2, model="cone")
+    drivers = (
+        lambda budget: tml.gh_distance(x1, x2, budget=budget),
+        lambda budget: tml.kappa_gh_distance(x1, x2, budget=budget),
+        lambda budget: tml.tau_h_distance(bb1, bb2, budget=budget),
+        lambda budget: tml.pointed_gh(x1, 0, x2, 1, budget=budget),
+        lambda budget: tml.bb_gh(bb1, bb2, budget=budget),
+        lambda budget: tml.fd_hh(bb1, bb2, budget=budget),
+    )
+    for driver in drivers:
+        with pytest.raises(ValueError):
+            driver(0)
+
+
+def test_budget_cut_lower_is_only_the_simple_bound():
+    # A cut pt-gh/bb-gh/fd-hh scan has not seen every candidate, so half its
+    # upper certifies nothing; only the simple bounds do.
+    a = tml.random_time_function(102, tml.random_metric_space(102, 6), model="cone")
+    b = tml.random_time_function(202, tml.random_metric_space(202, 6), model="cone")
+    # The complete scans' certificates (63,756 candidates each, a few seconds);
+    # their plain objective is the complete scan's upper.
+    bb_full = tml.make_correspondence(6, 6, [(0, 3), (1, 0), (2, 4), (3, 1), (4, 5), (5, 2)])
+    pt_full = tml.make_correspondence(
+        6, 6, [(0, 0), (1, 5), (2, 1), (2, 2), (3, 3), (4, 3), (5, 4)]
+    )
+    cut_bb = tml.bb_gh(a, b, budget=500)
+    cut_pt = tml.pointed_gh(a.base, 0, b.base, 0, budget=500)
+    assert cut_bb.budget_exhausted and cut_pt.budget_exhausted
+    assert cut_bb.anchor == (3, 1)
+    objective = tml.engine.pointed_glued_objective
+    assert cut_bb.lower <= objective(bb_full, a.base, 3, b.base, 1)
+    assert cut_pt.lower <= objective(pt_full, a.base, 0, b.base, 0)
+
+    x1 = tml.random_metric_space(3, 4)
+    x2 = tml.random_metric_space(4, 4, model="graph")
+    t1 = tml.random_time_function(5, x1, model="set-cone", subset_size=2)
+    t2 = tml.random_time_function(6, x2, model="set-cone", subset_size=2)
+    for result, s1, s2 in (
+        (tml.pointed_gh(x1, 1, x2, 2, budget=9), x1, x2),
+        (tml.bb_gh(a, b, budget=9), a, b),
+        (tml.fd_hh(t1, t2, budget=9), t1, t2),
+    ):
+        assert result.budget_exhausted and not result.is_exact
+        floor = tml.engine.simple_lower_bounds(result.kind, s1, s2)
+        assert result.lower == min(floor, result.upper)
 
 
 def test_reevaluate_reproduces_upper(path3):
@@ -380,6 +425,28 @@ def test_local_search_certifies_upper_bounds(path3):
 
     fd = tml.local_search_upper(tml.DistanceKind.FD_HH, t1, t2, seed=5)
     assert fd.upper >= tml.fd_hh(t1, t2).upper - 1e-15
+    assert fd.zero_pairs == tuple(p for p in fd.certificate.pairs if p[0] == 0 and p[1] == 1)
+    assert tml.reevaluate(fd, t1, t2) == fd.upper
+
+
+def test_local_search_checks_inputs_like_the_exact_drivers(path3):
+    fd = tml.build_timed_space(path3, np.array([0.0, 1.0, 0.0]))
+    bb = tml.build_timed_space(path3, path3.d[0])
+    generic = tml.build_timed_space(path3, np.ones(3))
+    search = tml.local_search_upper
+    with pytest.raises(NotBigBang) as info:
+        search(tml.DistanceKind.BB_GH, bb, fd, seed=0)
+    assert info.value.side == 2
+    with pytest.raises(NotFutureDeveloped) as info:
+        search(tml.DistanceKind.FD_HH, generic, fd, seed=0)
+    assert info.value.side == 1
+    with pytest.raises(InvalidBasepoint):
+        search(tml.DistanceKind.PT_GH, path3, path3, seed=0)
+    for p1, p2 in ((0, 3), (-1, 0)):
+        with pytest.raises(InvalidBasepoint):
+            search(tml.DistanceKind.PT_GH, path3, path3, seed=0, basepoints=(p1, p2))
+        with pytest.raises(InvalidBasepoint):
+            tml.pointed_gh(path3, p1, path3, p2)
 
 
 def test_local_search_deterministic(path3):

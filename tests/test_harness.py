@@ -79,11 +79,6 @@ def test_runs_are_deterministic():
     assert tml.run_suite(cfg) == tml.run_suite(cfg)
 
 
-def test_thread_count_does_not_change_rows():
-    cfg = small("all", trials=2)
-    assert tml.run_suite(cfg, threads=1) == tml.run_suite(cfg, threads=4)
-
-
 def test_config_validation():
     with pytest.raises(InvalidSpec):
         tml.run_suite(tml.CampaignConfig(suite="mystery", trials=1))
@@ -137,8 +132,3 @@ def test_sequence_experiment_decay_bound():
     for j, row in enumerate(rows):
         assert row.tau_h <= envelope * 0.5**j + 1e-7
         assert row.bound == pytest.approx(envelope * 0.5**j)
-
-
-def test_sequence_experiment_threads_agree():
-    spec = tml.SequenceSpec("refine-bb-cone", bb_cone_base(n=3), length=3, rate=0.5, seed=0)
-    assert tml.run_sequence_experiment(spec) == tml.run_sequence_experiment(spec, threads=3)
