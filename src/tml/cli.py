@@ -19,16 +19,7 @@ from .constructions import (
     random_metric_space,
     random_time_function,
 )
-from .engine import (
-    DEFAULT_BUDGET,
-    DistanceKind,
-    bb_gh,
-    fd_hh,
-    gh_distance,
-    kappa_gh_distance,
-    pointed_gh,
-    tau_h_distance,
-)
+from .engine import DEFAULT_BUDGET, TIMED_KINDS, DistanceKind, distance
 from .errors import (
     BudgetTooSmall,
     InvalidSpec,
@@ -49,10 +40,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load(path):
-    return read_space(path)
-
-
 def _load_timed(path) -> TimedMetricSpace:
     space = read_space(path)
     if not isinstance(space, TimedMetricSpace):
@@ -65,7 +52,7 @@ def _load_timed(path) -> TimedMetricSpace:
 
 
 def _cmd_validate(args) -> int:
-    space = _load(args.file)
+    space = read_space(args.file)
     if isinstance(space, TimedMetricSpace):
         print(f"valid timed metric space with {space.n} point(s), class {classify(space).value}")
     else:
@@ -74,7 +61,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    space = _load(args.file)
+    space = read_space(args.file)
     if not isinstance(space, TimedMetricSpace):
         print("class: metric (no time function)")
         return 0
@@ -90,44 +77,28 @@ def _cmd_classify(args) -> int:
 
 
 def _index_of_label(space, label: str) -> int:
-    base = space.base if isinstance(space, TimedMetricSpace) else space
-    if label not in base.labels:
-        raise InvalidSpec(f"no point labeled {label!r}; labels: {', '.join(base.labels)}")
-    return base.labels.index(label)
+    if label not in space.labels:
+        raise InvalidSpec(f"no point labeled {label!r}; labels: {', '.join(space.labels)}")
+    return space.labels.index(label)
 
 
 def _cmd_dist(args) -> int:
-    a = _load(args.a)
-    b = _load(args.b)
+    a = read_space(args.a)
+    b = read_space(args.b)
     kind = DistanceKind(args.kind)
-    timed_kinds = (DistanceKind.TAU_H, DistanceKind.BB_GH, DistanceKind.FD_HH)
-    if kind in timed_kinds:
+    if kind in TIMED_KINDS:
         for path, space in ((args.a, a), (args.b, b)):
             if not isinstance(space, TimedMetricSpace):
                 raise SchemaError(f"{path}: {kind.value} needs a timed space")
-    base_a = a.base if isinstance(a, TimedMetricSpace) else a
-    base_b = b.base if isinstance(b, TimedMetricSpace) else b
-
-    if kind is DistanceKind.GH:
-        result = gh_distance(base_a, base_b, budget=args.budget)
-    elif kind is DistanceKind.KAPPA_GH:
-        result = kappa_gh_distance(base_a, base_b, budget=args.budget)
-    elif kind is DistanceKind.TAU_H:
-        result = tau_h_distance(a, b, budget=args.budget)
-    elif kind is DistanceKind.PT_GH:
+    basepoints = None
+    if kind is DistanceKind.PT_GH:
         if args.p1 is None or args.p2 is None:
             raise InvalidSpec("pt-gh needs --p1 and --p2 basepoint labels")
-        result = pointed_gh(
-            base_a, _index_of_label(a, args.p1), base_b, _index_of_label(b, args.p2),
-            budget=args.budget,
-        )
-    elif kind is DistanceKind.BB_GH:
-        result = bb_gh(a, b, budget=args.budget, tol=args.tol)
-    else:
-        result = fd_hh(a, b, budget=args.budget, tol=args.tol)
+        basepoints = (_index_of_label(a, args.p1), _index_of_label(b, args.p2))
+    result = distance(kind, a, b, budget=args.budget, tol=args.tol, basepoints=basepoints)
 
     pairs = list(result.certificate.pairs) if result.certificate else []
-    named = [[base_a.labels[i], base_b.labels[j]] for i, j in pairs]
+    named = [[a.labels[i], b.labels[j]] for i, j in pairs]
     if args.json:
         payload = {
             "kind": kind.value,
@@ -139,11 +110,9 @@ def _cmd_dist(args) -> int:
             "budget_exhausted": result.budget_exhausted,
         }
         if result.anchor is not None:
-            payload["anchor"] = [base_a.labels[result.anchor[0]], base_b.labels[result.anchor[1]]]
+            payload["anchor"] = [a.labels[result.anchor[0]], b.labels[result.anchor[1]]]
         if result.zero_pairs is not None:
-            payload["zero_pairs"] = [
-                [base_a.labels[i], base_b.labels[j]] for i, j in result.zero_pairs
-            ]
+            payload["zero_pairs"] = [[a.labels[i], b.labels[j]] for i, j in result.zero_pairs]
         print(json.dumps(payload))
     else:
         print(f"kind: {kind.value}")
@@ -152,7 +121,7 @@ def _cmd_dist(args) -> int:
         print(f"exact: {'true' if result.is_exact else 'false'}")
         print("certificate: " + "; ".join(f"{x}<->{y}" for x, y in named))
         if result.anchor is not None:
-            print(f"anchor: {base_a.labels[result.anchor[0]]}<->{base_b.labels[result.anchor[1]]}")
+            print(f"anchor: {a.labels[result.anchor[0]]}<->{b.labels[result.anchor[1]]}")
         if result.budget_exhausted:
             print(f"note: enumeration budget hit after {result.explored} correspondences")
     return 0
@@ -173,12 +142,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _print_failures(rows) -> None:
-    for row in rows:
-        if not row.passed:
-            d = row.as_dict()
-            repro = ", ".join(f"{k}={d[k]}" for k in ("suite", "trial", "check", "seed", "n1", "n2"))
-            print(f"FAIL {repro} details={d['details']}", file=sys.stderr)
+def _report(rows, args, title: str, describe) -> int:
+    """Write the rows, print the tally and each failing row (`describe` names
+    it); exit 3 when any row failed."""
+    write_report([r.as_dict() for r in rows], args.out, fmt=args.format)
+    failed = [r for r in rows if not r.passed]
+    print(f"{title}: {len(rows)} rows, {len(rows) - len(failed)} passed, {len(failed)} failed")
+    print(f"wrote {args.out}")
+    for row in failed:
+        print(f"FAIL {describe(row)} details={row.details}", file=sys.stderr)
+    return 3 if failed else 0
 
 
 def _cmd_campaign(args) -> int:
@@ -190,15 +163,11 @@ def _cmd_campaign(args) -> int:
         tol=args.tol,
         budget=args.budget,
     )
-    rows = run_suite(cfg)
-    write_report([r.as_dict() for r in rows], args.out, fmt=args.format)
-    failed = sum(1 for r in rows if not r.passed)
-    print(f"suite {args.suite}: {len(rows)} rows, {len(rows) - failed} passed, {failed} failed")
-    print(f"wrote {args.out}")
-    if failed:
-        _print_failures(rows)
-        return 3
-    return 0
+    return _report(
+        run_suite(cfg), args, f"suite {args.suite}",
+        lambda r: f"suite={r.suite}, trial={r.trial}, check={r.check}, seed={r.seed}, "
+        f"n1={r.n1}, n2={r.n2}",
+    )
 
 
 def _cmd_sequence(args) -> int:
@@ -206,17 +175,10 @@ def _cmd_sequence(args) -> int:
     spec = SequenceSpec(
         family=args.family, base=base, length=args.length, rate=args.rate, seed=args.seed
     )
-    rows = run_sequence_experiment(spec, budget=args.budget)
-    write_report([r.as_dict() for r in rows], args.out, fmt=args.format)
-    failed = sum(1 for r in rows if not r.passed)
-    print(f"family {args.family}: {len(rows)} rows, {len(rows) - failed} passed, {failed} failed")
-    print(f"wrote {args.out}")
-    if failed:
-        for row in rows:
-            if not row.passed:
-                print(f"FAIL j={row.j} slack={row.slack} details={row.details}", file=sys.stderr)
-        return 3
-    return 0
+    return _report(
+        run_sequence_experiment(spec, budget=args.budget), args, f"family {args.family}",
+        lambda r: f"j={r.j} slack={r.slack}",
+    )
 
 
 # ---------------------------------------------------------------------------

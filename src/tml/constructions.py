@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import Enumeration
-from .engine import Correspondence
+from .engine import Correspondence, glued_cross_distances
 from .errors import DeltaTooSmall, EmptySet, InvalidSpec, ValidationError
 from .spaces import (
     DEFAULT_TOL,
@@ -50,9 +50,7 @@ def glue_by_correspondence(
     small a delta raises DeltaTooSmall carrying the violated constraints.
     """
     n1, n2 = x1.n, x2.n
-    rows = np.array([a for a, _ in corr.pairs], dtype=int)
-    cols = np.array([b for _, b in corr.pairs], dtype=int)
-    cross = (x1.d[rows][:, :, None] + x2.d[cols][:, None, :]).min(axis=0) + delta
+    cross = glued_cross_distances(x1, x2, corr, delta)
     table = np.zeros((n1 + n2, n1 + n2))
     table[:n1, :n1] = x1.d
     table[n1:, n1:] = x2.d

@@ -26,7 +26,7 @@ from .errors import (
     IndexOutOfRange,
     TooFewCoordinates,
 )
-from .spaces import FiniteMetricSpace, TimedMetricSpace, _readonly
+from .spaces import FiniteMetricSpace, TimedMetricSpace, _maxmin, _readonly
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ def sup_distances(a: LinftyCloud, b: LinftyCloud) -> np.ndarray:
 
 def hausdorff_sup(a: LinftyCloud, b: LinftyCloud) -> float:
     """Hausdorff distance between two clouds under the sup metric."""
-    pair = sup_distances(a, b)
-    return float(max(pair.min(axis=1).max(), pair.min(axis=0).max()))
+    return _maxmin(sup_distances(a, b))
 
 
 def hausdorff_in(space: FiniteMetricSpace, subset_a, subset_b) -> float:
@@ -114,5 +113,4 @@ def hausdorff_in(space: FiniteMetricSpace, subset_a, subset_b) -> float:
     for i in a + b:
         if not (0 <= i < space.n):
             raise IndexOutOfRange(f"index {i} outside [0, {space.n})")
-    block = space.d[np.ix_(a, b)]
-    return float(max(block.min(axis=1).max(), block.min(axis=0).max()))
+    return _maxmin(space.d[np.ix_(a, b)])

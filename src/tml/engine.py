@@ -26,9 +26,10 @@ for them a complete scan returns a certified 2-approximation interval
 by its budget certifies only the simple bounds.
 
 Each kind is one objective record (``_objective``): its inputs checked, its
-fast cost, and the pair sets every candidate must contain.  One scan and one
-result assembler serve all six drivers and ``local_search_upper``; the plain
-per-correspondence functions stay as the independent check of certificates.
+fast cost, and the pair sets every candidate must contain.  ``distance`` is
+the one entry behind the six drivers: one scan and one result assembler serve
+every kind and ``local_search_upper``.  The plain per-correspondence functions
+stay as the independent check of certificates.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .spaces import (
     FiniteMetricSpace,
     SpaceClass,
     TimedMetricSpace,
+    _maxmin,
     classify,
     structure_report,
 )
@@ -66,6 +68,9 @@ class DistanceKind(Enum):
     PT_GH = "pt-gh"
     BB_GH = "bb-gh"
     FD_HH = "fd-hh"
+
+
+TIMED_KINDS = (DistanceKind.TAU_H, DistanceKind.BB_GH, DistanceKind.FD_HH)
 
 
 @dataclass(frozen=True)
@@ -179,10 +184,6 @@ def distortion(corr: Correspondence, x1: FiniteMetricSpace, x2: FiniteMetricSpac
             if gap > out:
                 out = gap
     return out
-
-
-def _maxmin(block: np.ndarray) -> float:
-    return float(max(block.min(axis=1).max(), block.min(axis=0).max()))
 
 
 def _rho_matrix(corr, x1, x2) -> np.ndarray:
@@ -326,7 +327,7 @@ def simple_lower_bounds(kind: DistanceKind, a, b) -> float:
     bound = abs(x1.diameter - x2.diameter) / 2.0
     if kind is DistanceKind.TAU_H:
         if not (isinstance(a, TimedMetricSpace) and isinstance(b, TimedMetricSpace)):
-            raise TypeError("tau-h bounds need timed spaces")
+            raise TypeError("tau-h needs timed spaces")
         bound = max(bound, _maxmin(np.abs(a.tau[:, None] - b.tau[None, :])))
     return float(bound)
 
@@ -356,6 +357,10 @@ class _Objective:
 
 def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Objective:
     """Check the inputs of `kind` and build its objective between a and b."""
+    if kind in TIMED_KINDS and not (
+        isinstance(a, TimedMetricSpace) and isinstance(b, TimedMetricSpace)
+    ):
+        raise TypeError(f"{kind.value} needs timed spaces")
     x1, x2 = _base_of(a), _base_of(b)
     anchor = zeros = zsel = None
     required = ()
@@ -459,9 +464,18 @@ def _result(obj: _Objective, value, pairs, explored, complete, exhausted=False) 
     )
 
 
-def _solve(kind, a, b, budget: int, tol: float = DEFAULT_TOL, basepoints=None) -> DistanceResult:
-    """Minimize the kind's cost over its candidate stream with a deterministic
-    lexicographic tie-break, counting evaluations against the budget."""
+def distance(
+    kind: DistanceKind,
+    a,
+    b,
+    budget: int = DEFAULT_BUDGET,
+    tol: float = DEFAULT_TOL,
+    basepoints: tuple[int, int] | None = None,
+) -> DistanceResult:
+    """Distance of any kind between a and b: minimize the kind's cost over its
+    candidate stream with a deterministic lexicographic tie-break, counting
+    evaluations against the budget.  `tol` is the classification tolerance of
+    bb-gh and fd-hh; `basepoints` is the pt-gh basepoint pair."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     obj = _objective(kind, a, b, tol, basepoints)
@@ -489,21 +503,21 @@ def gh_distance(
     x1: FiniteMetricSpace, x2: FiniteMetricSpace, budget: int = DEFAULT_BUDGET
 ) -> DistanceResult:
     """Gromov-Hausdorff distance: half the minimal distortion."""
-    return _solve(DistanceKind.GH, x1, x2, budget)
+    return distance(DistanceKind.GH, x1, x2, budget)
 
 
 def kappa_gh_distance(
     x1: FiniteMetricSpace, x2: FiniteMetricSpace, budget: int = DEFAULT_BUDGET
 ) -> DistanceResult:
     """Best Hausdorff distance between paired distance-profile embeddings."""
-    return _solve(DistanceKind.KAPPA_GH, x1, x2, budget)
+    return distance(DistanceKind.KAPPA_GH, x1, x2, budget)
 
 
 def tau_h_distance(
     t1: TimedMetricSpace, t2: TimedMetricSpace, budget: int = DEFAULT_BUDGET
 ) -> DistanceResult:
     """Timed-Hausdorff distance: the profile-embedding cost with time joined in."""
-    return _solve(DistanceKind.TAU_H, t1, t2, budget)
+    return distance(DistanceKind.TAU_H, t1, t2, budget)
 
 
 def pointed_gh(
@@ -521,7 +535,7 @@ def pointed_gh(
     most 2v, so the scan finds an objective at most 2v.  Hence the true value
     lies in [upper / 2, upper].
     """
-    return _solve(DistanceKind.PT_GH, x1, x2, budget, basepoints=(p1, p2))
+    return distance(DistanceKind.PT_GH, x1, x2, budget, basepoints=(p1, p2))
 
 
 def bb_gh(
@@ -531,7 +545,7 @@ def bb_gh(
     tol: float = DEFAULT_TOL,
 ) -> DistanceResult:
     """Pointed objective anchored at the big bang points of two big bang spaces."""
-    return _solve(DistanceKind.BB_GH, t1, t2, budget, tol)
+    return distance(DistanceKind.BB_GH, t1, t2, budget, tol)
 
 
 def fd_hh(
@@ -542,7 +556,7 @@ def fd_hh(
 ) -> DistanceResult:
     """Hausdorff-plus-zero-set objective for future developed spaces, certified
     within a factor of two by the same gluing argument as the pointed kind."""
-    return _solve(DistanceKind.FD_HH, t1, t2, budget, tol)
+    return distance(DistanceKind.FD_HH, t1, t2, budget, tol)
 
 
 def reevaluate(result: DistanceResult, a, b) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -95,21 +95,7 @@ class ReportRow:
     details: str
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trial": self.trial,
-            "check": self.check,
-            "n1": self.n1,
-            "n2": self.n2,
-            "class1": self.class1,
-            "class2": self.class2,
-            "seed": self.seed,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _class_name(space) -> str:
@@ -119,12 +105,7 @@ def _class_name(space) -> str:
 
 
 def _details(**kwargs) -> str:
-    plain = {}
-    for key, value in kwargs.items():
-        if isinstance(value, (np.floating, np.integer)):
-            value = value.item()
-        plain[key] = value
-    return json.dumps(plain, sort_keys=True)
+    return json.dumps(kwargs, sort_keys=True, default=np.generic.item)
 
 
 def _make_row(suite, trial, check, a, b, seed, lhs, rhs, tol, asserted=True, **extra):
@@ -135,10 +116,10 @@ def _make_row(suite, trial, check, a, b, seed, lhs, rhs, tol, asserted=True, **e
         suite=suite,
         trial=trial,
         check=check,
-        n1=a.n if a is not None else 0,
-        n2=b.n if b is not None else 0,
-        class1=_class_name(a) if a is not None else "",
-        class2=_class_name(b) if b is not None else "",
+        n1=a.n,
+        n2=b.n,
+        class1=_class_name(a),
+        class2=_class_name(b),
         seed=seed,
         lhs=lhs,
         rhs=rhs,
@@ -167,13 +148,9 @@ def _child_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**62))
 
 
-def _random_pair_sizes(rng: np.random.Generator, nmax: int) -> tuple[int, int]:
-    return int(rng.integers(1, nmax + 1)), int(rng.integers(1, nmax + 1))
-
-
-def _random_space(rng: np.random.Generator, nmax: int, n: int | None = None):
+def _random_space(rng: np.random.Generator, nmax: int):
     model = "euclidean" if rng.integers(2) == 0 else "graph"
-    size = int(rng.integers(1, nmax + 1)) if n is None else n
+    size = int(rng.integers(1, nmax + 1))
     seed = _child_seed(rng)
     return random_metric_space(seed, size, model=model), model, seed
 
@@ -533,35 +510,10 @@ class SequenceRow:
     details: str
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "j": self.j,
-            "n": self.n,
-            "space_class": self.space_class,
-            "fd_defect": self.fd_defect,
-            "bb_defect": self.bb_defect,
-            "gh_lower": self.gh_lower,
-            "gh_upper": self.gh_upper,
-            "tau_h": self.tau_h,
-            "bb_gh_lower": self.bb_gh_lower,
-            "bb_gh_upper": self.bb_gh_upper,
-            "bound": self.bound,
-            "slack": self.slack,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 _SEQUENCE_KINDS = (DistanceKind.GH, DistanceKind.TAU_H, DistanceKind.BB_GH)
-
-
-def _normalize_kinds(kinds) -> tuple[DistanceKind, ...]:
-    if kinds is None:
-        return _SEQUENCE_KINDS
-    out = []
-    for k in kinds:
-        out.append(k if isinstance(k, DistanceKind) else DistanceKind(k))
-    return tuple(out)
 
 
 def run_sequence_experiment(
@@ -579,7 +531,7 @@ def run_sequence_experiment(
     time-collapse family; a nonincreasing tau-h envelope for the refinement
     family.
     """
-    kinds = _normalize_kinds(kinds)
+    kinds = _SEQUENCE_KINDS if kinds is None else tuple(DistanceKind(k) for k in kinds)
     elements, limit = build_sequence(spec)
     limit_is_bb = classify(limit) is SpaceClass.BIG_BANG
 

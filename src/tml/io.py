@@ -13,7 +13,9 @@ Space files are UTF-8 JSON objects:
 Reals are serialized with Python's shortest round-trip repr, so writing a
 space and reading it back reproduces every value bit for bit.  Reports are
 flat CSV or JSONL with one row per check and no timestamps, which keeps
-repeated runs byte-identical.
+repeated runs byte-identical.  Both formats write a non-finite real as the
+token ``inf``, ``-inf`` or ``nan`` (a JSON string in JSONL), so every JSONL
+line is strict JSON.
 """
 
 from __future__ import annotations
@@ -125,9 +127,12 @@ def write_space(space: AnySpace, path, name: str = "space") -> None:
 
 
 def _plain(value):
-    """Coerce numpy scalars so json/csv render them like python builtins."""
+    """Coerce numpy scalars so json/csv render them like python builtins, and
+    non-finite reals to their tokens "inf", "-inf" and "nan"."""
     if isinstance(value, np.generic):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     return value
 
 
@@ -137,8 +142,6 @@ def _render_csv_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     return str(value)
 
 
@@ -161,7 +164,8 @@ def write_report(rows: Iterable[Mapping], path, fmt: str = "csv") -> None:
     elif fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
             for row in rows:
-                fh.write(json.dumps({k: _plain(v) for k, v in row.items()}, sort_keys=True))
+                row = {k: _plain(v) for k, v in row.items()}
+                fh.write(json.dumps(row, sort_keys=True, allow_nan=False))
                 fh.write("\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")

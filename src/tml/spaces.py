@@ -35,6 +35,12 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _maxmin(block: np.ndarray) -> float:
+    """Hausdorff value of a table of distances between two finite sets: the
+    larger of the worst row minimum and the worst column minimum."""
+    return float(max(block.min(axis=1).max(), block.min(axis=0).max()))
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """A validated metric on n labeled points, stored as a dense table.

@@ -133,6 +133,18 @@ def tau_value_hausdorff(t1, t2) -> float:
     return max(left, right)
 
 
+# The exact driver of each kind, called as a user calls it on two timed
+# spaces: untimed kinds on the base spaces, pt-gh with a basepoint pair `bp`.
+DRIVERS = {
+    tml.DistanceKind.GH: lambda a, b, bp: tml.gh_distance(a.base, b.base),
+    tml.DistanceKind.KAPPA_GH: lambda a, b, bp: tml.kappa_gh_distance(a.base, b.base),
+    tml.DistanceKind.TAU_H: lambda a, b, bp: tml.tau_h_distance(a, b),
+    tml.DistanceKind.PT_GH: lambda a, b, bp: tml.pointed_gh(a.base, bp[0], b.base, bp[1]),
+    tml.DistanceKind.BB_GH: lambda a, b, bp: tml.bb_gh(a, b),
+    tml.DistanceKind.FD_HH: lambda a, b, bp: tml.fd_hh(a, b),
+}
+
+
 @pytest.fixture
 def path3():
     """Three points on a line at 0, 1, 2."""

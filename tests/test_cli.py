@@ -8,6 +8,8 @@ import tml.cli
 from tml.cli import main
 from tml.harness import ReportRow
 
+from conftest import DRIVERS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -197,3 +199,31 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert tml.__version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", [k.value for k in tml.DistanceKind])
+def test_dist_json_matches_the_driver(kind, tmp_path, capsys):
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    run(capsys, "gen", "--n", "4", "--seed", "3", "--time", "cone", "-o", a)
+    run(capsys, "gen", "--n", "3", "--seed", "5", "--model", "graph", "--time", "cone", "-o", b)
+    argv = ["dist", "--kind", kind, a, b, "--json"]
+    if kind == "pt-gh":
+        argv += ["--p1", "p1", "--p2", "p2"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+
+    ta, tb = tml.read_space(a), tml.read_space(b)
+    result = DRIVERS[tml.DistanceKind(kind)](ta, tb, (1, 2))
+
+    def named(pairs):
+        return [[ta.labels[i], tb.labels[j]] for i, j in pairs]
+
+    assert payload["kind"] == kind
+    assert (payload["lower"], payload["upper"]) == (result.lower, result.upper)
+    assert payload["exact"] is result.is_exact
+    assert payload["explored"] == result.explored
+    assert payload["certificate"] == named(result.certificate.pairs)
+    assert payload.get("anchor") == (named([result.anchor])[0] if result.anchor else None)
+    zero_pairs = payload.get("zero_pairs")
+    assert zero_pairs == (named(result.zero_pairs) if result.zero_pairs is not None else None)

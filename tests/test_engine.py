@@ -9,6 +9,7 @@ from tml.engine import _minimal_pair_tuples
 from tml.errors import InvalidBasepoint, NotBigBang, NotFutureDeveloped
 
 from conftest import (
+    DRIVERS,
     all_covering_pairsets,
     brute_fd,
     brute_gh,
@@ -454,3 +455,17 @@ def test_local_search_deterministic(path3):
     a = tml.local_search_upper(tml.DistanceKind.GH, path3, x2, seed=9)
     b = tml.local_search_upper(tml.DistanceKind.GH, path3, x2, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("kind", tml.TIMED_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("route", ["driver", "distance", "local-search"])
+def test_untimed_inputs_fail_the_same_way_for_every_timed_kind(kind, route, path3):
+    timed = tml.build_timed_space(path3, path3.d[0])
+    call = {
+        "driver": lambda a, b: DRIVERS[kind](a, b, None),
+        "distance": lambda a, b: tml.distance(kind, a, b),
+        "local-search": lambda a, b: tml.local_search_upper(kind, a, b, seed=0),
+    }[route]
+    for a, b in ((path3, timed), (timed, path3), (path3, path3)):
+        with pytest.raises(TypeError, match=f"^{kind.value} needs timed spaces$"):
+            call(a, b)

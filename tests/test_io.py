@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -124,3 +127,28 @@ def test_write_report_jsonl(tmp_path):
     assert target.read_text() == '{"a": 0.25, "b": 1}\n'
     with pytest.raises(ValueError):
         tml.write_report(rows, target, fmt="xml")
+
+
+def test_write_report_jsonl_is_strict_json(tmp_path):
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    rows = [{"a": math.inf, "b": math.nan, "c": -math.inf, "d": np.float64("nan"), "e": 0.5}]
+    target = tmp_path / "report.jsonl"
+    tml.write_report(rows, target, fmt="jsonl")
+    (line,) = target.read_text().splitlines()
+    assert json.loads(line, parse_constant=reject) == {
+        "a": "inf", "b": "nan", "c": "-inf", "d": "nan", "e": 0.5
+    }
+    tml.write_report(rows, tmp_path / "report.csv", fmt="csv")
+    assert (tmp_path / "report.csv").read_text().splitlines()[1] == "inf,nan,-inf,nan,0.5"
+
+    # Sequence rows carry nan for gh when it is not requested.
+    spec = tml.SequenceSpec(
+        "collapse-time", tml.make_future_developed(tml.random_metric_space(3, 3), [0]),
+        length=2, rate=0.5, seed=0,
+    )
+    rows = [r.as_dict() for r in tml.run_sequence_experiment(spec, kinds=["tau-h"])]
+    tml.write_report(rows, target, fmt="jsonl")
+    parsed = [json.loads(line, parse_constant=reject) for line in target.read_text().splitlines()]
+    assert [row["gh_upper"] for row in parsed] == ["nan", "nan"]
