@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 assertion
-failure.  argparse handles usage errors itself; everything the space
-validator rejects maps to 1; campaign and sequence runs that complete but
-contain a failing check map to 3.
+failure.  argparse handles usage errors itself; an input file that cannot be
+read maps to 2; everything the space validator rejects maps to 1; campaign
+and sequence runs that complete but contain a failing check map to 3.
 """
 
 from __future__ import annotations
@@ -40,8 +40,16 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _read(path):
+    """`read_space`, with a file that cannot be read reported as a usage error."""
+    try:
+        return read_space(path)
+    except OSError as err:
+        raise InvalidSpec(f"{path}: {err.strerror or err}") from None
+
+
 def _load_timed(path) -> TimedMetricSpace:
-    space = read_space(path)
+    space = _read(path)
     if not isinstance(space, TimedMetricSpace):
         raise SchemaError(f"{path}: this command needs a timed space ('tau' missing)")
     return space
@@ -52,7 +60,7 @@ def _load_timed(path) -> TimedMetricSpace:
 
 
 def _cmd_validate(args) -> int:
-    space = read_space(args.file)
+    space = _read(args.file)
     if isinstance(space, TimedMetricSpace):
         print(f"valid timed metric space with {space.n} point(s), class {classify(space).value}")
     else:
@@ -61,7 +69,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    space = read_space(args.file)
+    space = _read(args.file)
     if not isinstance(space, TimedMetricSpace):
         print("class: metric (no time function)")
         return 0
@@ -83,8 +91,8 @@ def _index_of_label(space, label: str) -> int:
 
 
 def _cmd_dist(args) -> int:
-    a = read_space(args.a)
-    b = read_space(args.b)
+    a = _read(args.a)
+    b = _read(args.b)
     kind = DistanceKind(args.kind)
     if kind in TIMED_KINDS:
         for path, space in ((args.a, a), (args.b, b)):

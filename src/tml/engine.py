@@ -26,10 +26,20 @@ for them a complete scan returns a certified 2-approximation interval
 by its budget certifies only the simple bounds.
 
 Each kind is one objective record (``_objective``): its inputs checked, its
-fast cost, and the pair sets every candidate must contain.  ``distance`` is
-the one entry behind the six drivers: one scan and one result assembler serve
-every kind and ``local_search_upper``.  The plain per-correspondence functions
-stay as the independent check of certificates.
+batched cost, and the pair sets every candidate must contain.  ``distance``
+is the one entry behind the six drivers: one scan and one result assembler
+serve every kind and ``local_search_upper``.  The plain per-correspondence
+functions stay as the independent check of certificates.
+
+The scan scores candidates in blocks of ``BLOCK``, one numpy call chain per
+block, and local search scores each step's whole neighbour list at once.  A
+block is a table of pair ids, one row per candidate; rows shorter than the
+longest repeat their first pair.  Every cost is a max or min over the row's
+pairs (distortion, the profile-gap table rho, the glued cross table), and a
+repeated pair changes no max and no min, so padding needs no sentinel and no
+mask.  Distortion is a running max over row positions, so no
+block x k x k table is built.  Within a block the least value goes to the
+lexicographically smallest tuple that attains it, as in a one-at-a-time scan.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -59,6 +69,9 @@ from .spaces import (
 )
 
 DEFAULT_BUDGET = 5_000_000
+# Candidates scored per numpy call.  A few hundred amortise the per-call cost;
+# larger blocks only add memory.
+BLOCK = 512
 
 
 class DistanceKind(Enum):
@@ -282,7 +295,7 @@ class DistanceResult:
 
 
 class _Workspace:
-    """Shared tensors for evaluating many correspondences between one pair.
+    """Shared tensors for scoring blocks of correspondences between one pair.
 
     Pair (a, b) gets id a * n2 + b.  C[id, x, y] = |d1(a, x) - d2(b, y)| and
     S[id, x, y] = d1(a, x) + d2(b, y); DIS[id, id'] is the distortion
@@ -299,20 +312,32 @@ class _Workspace:
         self.S = d1r[:, :, None] + d2r[:, None, :]
         self.DIS = np.abs(x1.d[np.ix_(a, a)] - x2.d[np.ix_(b, b)])
 
-    def ids(self, pairs) -> np.ndarray:
-        return np.fromiter((a * self.n2 + b for a, b in pairs), dtype=int, count=len(pairs))
+    def ids(self, block) -> np.ndarray:
+        """Pair ids of a block of sorted pair tuples, one row per tuple, each
+        row padded to the longest by repeating its first pair."""
+        width = max(map(len, block), default=1)
+        padded = [p + p[:1] * (width - len(p)) for p in block]
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(padded)), dtype=np.intp,
+                           count=2 * width * len(block)).reshape(len(block), width, 2)
+        return flat[:, :, 0] * self.n2 + flat[:, :, 1]
 
-    def distortion(self, ids: np.ndarray) -> float:
-        return float(self.DIS[np.ix_(ids, ids)].max())
+    def distortion(self, ids: np.ndarray) -> np.ndarray:
+        """Distortion of each row, as a running max over its positions of the
+        contributions against the whole row."""
+        out = self.DIS[ids[:, :1], ids].max(axis=1)
+        for j in range(1, ids.shape[1]):
+            np.maximum(out, self.DIS[ids[:, j : j + 1], ids].max(axis=1), out=out)
+        return out
 
-    def hausdorff_cost(self, ids: np.ndarray, tau_gap: np.ndarray | None = None) -> float:
-        rho = self.C[ids].max(axis=0)
-        if tau_gap is not None:
-            rho = np.maximum(rho, tau_gap)
-        return _maxmin(rho)
 
-    def cross(self, ids: np.ndarray, delta: float) -> np.ndarray:
-        return self.S[ids].min(axis=0) + delta
+def _fold(op, tables: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """`op` (np.maximum or np.minimum) of tables[id] over each row of ids,
+    one row position at a time: the rho tables are the max of C, the glued
+    cross tables at offset zero the min of S."""
+    out = tables[ids[:, 0]]
+    for j in range(1, ids.shape[1]):
+        op(out, tables[ids[:, j]], out=out)
+    return out
 
 
 def _base_of(space) -> FiniteMetricSpace:
@@ -336,7 +361,8 @@ def simple_lower_bounds(kind: DistanceKind, a, b) -> float:
 class _Objective:
     """One distance kind between two checked inputs.
 
-    `cost` maps a sorted pair tuple to the kind's per-correspondence cost.
+    `costs` maps a block (a list) of sorted pair tuples to the array of their
+    per-correspondence costs.
     `required` holds the pair sets merged into each minimal correspondence,
     one candidate per set: none for gh/kappa-gh/tau-h, the basepoint pair for
     pt-gh/bb-gh, every minimal zero-set correspondence for fd-hh.  `exact`:
@@ -347,7 +373,7 @@ class _Objective:
     kind: DistanceKind
     n1: int
     n2: int
-    cost: Callable[[tuple], float]
+    costs: Callable[[list], np.ndarray]
     required: tuple[tuple[tuple[int, int], ...], ...]
     exact: bool
     floor: float
@@ -394,24 +420,29 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     tau_gap = np.abs(a.tau[:, None] - b.tau[None, :]) if kind is DistanceKind.TAU_H else None
 
     if kind is DistanceKind.GH:
-        def cost(pairs):
-            return work.distortion(work.ids(pairs)) / 2.0
+        def costs(block):
+            return work.distortion(work.ids(block)) / 2.0
     elif not required:
-        def cost(pairs):
-            return work.hausdorff_cost(work.ids(pairs), tau_gap)
+        def costs(block):
+            rho = _fold(np.maximum, work.C, work.ids(block))
+            if tau_gap is not None:
+                np.maximum(rho, tau_gap, out=rho)
+            return _maxmin(rho)
     else:
         # Hausdorff cost plus the anchor or zero-set cost, in the gluing at
         # half the distortion.
-        def cost(pairs):
-            ids = work.ids(pairs)
-            cross = work.cross(ids, work.distortion(ids) / 2.0)
-            return _maxmin(cross) + (float(cross[anchor]) if zsel is None else _maxmin(cross[zsel]))
+        def costs(block):
+            ids = work.ids(block)
+            cross = _fold(np.minimum, work.S, ids) + (work.distortion(ids) / 2.0)[:, None, None]
+            if zsel is None:
+                return _maxmin(cross) + cross[:, anchor[0], anchor[1]]
+            return _maxmin(cross) + _maxmin(cross[:, zsel[0], zsel[1]])
 
     return _Objective(
         kind=kind,
         n1=x1.n,
         n2=x2.n,
-        cost=cost,
+        costs=costs,
         required=required,
         exact=not required,
         floor=floor,
@@ -434,6 +465,14 @@ def _candidates(obj: _Objective):
                 yield pairs if have.issuperset(extra) else tuple(sorted(have.union(extra)))
 
     return merged()
+
+
+def _least(block: list, values: np.ndarray):
+    """The least value of a nonempty block and the lexicographically smallest
+    tuple attaining it.  Merged candidates are not in lexicographic order, so
+    the first index would not do."""
+    low = values.min()
+    return low, min(block[i] for i in np.flatnonzero(values == low))
 
 
 def _result(obj: _Objective, value, pairs, explored, complete, exhausted=False) -> DistanceResult:
@@ -479,19 +518,19 @@ def distance(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     obj = _objective(kind, a, b, tol, basepoints)
-    cost = obj.cost
+    stream = _candidates(obj)
     best = math.inf
     best_pairs = None
     explored = 0
-    exhausted = False
-    for pairs in _candidates(obj):
-        if explored >= budget:
-            exhausted = True
+    while explored < budget:
+        block = list(islice(stream, min(BLOCK, budget - explored)))
+        if not block:
             break
-        explored += 1
-        value = cost(pairs)
-        if value < best or (value == best and best_pairs is not None and pairs < best_pairs):
+        explored += len(block)
+        value, pairs = _least(block, obj.costs(block))
+        if value < best or (value == best and pairs < best_pairs):
             best, best_pairs = value, pairs
+    exhausted = explored == budget and next(stream, None) is not None
     return _result(obj, best, best_pairs, explored, not exhausted, exhausted)
 
 
@@ -650,23 +689,19 @@ def local_search_upper(
         rows = {(i, int(rng.integers(n2))) for i in range(n1)}
         starts.append(start(rows | {(int(rng.integers(n1)), j) for j in range(n2)}))
     for current in starts:
-        value = obj.cost(tuple(sorted(current)))
+        key = tuple(sorted(current))
+        value = obj.costs([key])[0]
         explored += 1
         for _ in range(iterations):
-            improved = None
-            improved_value = value
-            for cand in neighbors(current):
-                cand_t = tuple(sorted(cand))
-                explored += 1
-                cv = obj.cost(cand_t)
-                if cv < improved_value or (
-                    cv == improved_value and improved is not None and cand_t < tuple(sorted(improved))
-                ):
-                    improved, improved_value = cand, cv
-            if improved is None or improved_value >= value:
+            block = [tuple(sorted(cand)) for cand in neighbors(current)]
+            if not block:
                 break
-            current, value = improved, improved_value
-        key = tuple(sorted(current))
+            explored += len(block)
+            low, pairs = _least(block, obj.costs(block))
+            if low >= value:
+                break
+            key, value = pairs, low
+            current = set(key)
         if value < best_value or (value == best_value and key < best_pairs):
             best_value, best_pairs = value, key
 

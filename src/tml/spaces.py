@@ -35,10 +35,12 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return out
 
 
-def _maxmin(block: np.ndarray) -> float:
+def _maxmin(block: np.ndarray) -> float | np.ndarray:
     """Hausdorff value of a table of distances between two finite sets: the
-    larger of the worst row minimum and the worst column minimum."""
-    return float(max(block.min(axis=1).max(), block.min(axis=0).max()))
+    larger of the worst row minimum and the worst column minimum.  A float for
+    one table; one value per table for a stack of tables (..., m, n)."""
+    value = np.maximum(block.min(axis=-1).max(axis=-1), block.min(axis=-2).max(axis=-1))
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,27 @@ def test_usage_errors_exit_two(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["dist", "validate", "classify", "sequence"])
+@pytest.mark.parametrize("unreadable", ["missing", "directory"])
+def test_unreadable_input_is_a_usage_error(command, unreadable, tmp_path, capsys):
+    good = str(tmp_path / "good.json")
+    run(capsys, "gen", "--n", "3", "--seed", "5", "--time", "cone", "-o", good)
+    bad = str(tmp_path / unreadable)
+    if unreadable == "directory":
+        (tmp_path / unreadable).mkdir()
+    argv = {
+        "dist": ["dist", "--kind", "gh", good, bad],
+        "validate": ["validate", bad],
+        "classify": ["classify", bad],
+        "sequence": ["sequence", "--family", "collapse-time", "--base", bad,
+                     "--out", str(tmp_path / "t.csv")],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {bad}: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

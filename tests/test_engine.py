@@ -457,6 +457,22 @@ def test_local_search_deterministic(path3):
     assert a == b
 
 
+def test_local_search_path_is_pinned():
+    # Graph spaces tie many neighbours; a descent that breaks ties other than
+    # by the smallest tuple walks another path.  Values of the one-neighbour-
+    # at-a-time loop.
+    pinned = {
+        0: (0.2242304548330818, ((0, 0), (1, 1), (2, 2), (3, 0)), 185),
+        1: (0.29404784426104746, ((0, 0), (1, 1), (1, 2), (2, 0), (3, 1)), 209),
+        2: (0.1336247541599978, ((0, 0), (1, 1), (2, 2), (3, 0)), 212),
+    }
+    for seed, (upper, pairs, explored) in pinned.items():
+        x1 = tml.random_metric_space(seed, 4, model="graph")
+        x2 = tml.random_metric_space(seed + 100, 3, model="graph")
+        r = tml.local_search_upper(tml.DistanceKind.GH, x1, x2, seed=seed)
+        assert (r.upper, r.certificate.pairs, r.explored) == (upper, pairs, explored)
+
+
 @pytest.mark.parametrize("kind", tml.TIMED_KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("route", ["driver", "distance", "local-search"])
 def test_untimed_inputs_fail_the_same_way_for_every_timed_kind(kind, route, path3):
@@ -469,3 +485,72 @@ def test_untimed_inputs_fail_the_same_way_for_every_timed_kind(kind, route, path
     for a, b in ((path3, timed), (timed, path3), (path3, path3)):
         with pytest.raises(TypeError, match=f"^{kind.value} needs timed spaces$"):
             call(a, b)
+
+
+@pytest.mark.parametrize("shape", ["1x1", "1x3", "3x1"])
+def test_spaces_without_local_moves(shape):
+    # One correspondence exists, so local search has no neighbours at all and
+    # every search scores the sole relation.  Values of the plain loop.
+    one = tml.build_timed_space(tml.build_metric_space(("p",), np.zeros((1, 1))), np.zeros(1))
+    line = tml.build_metric_space(
+        ("a", "b", "c"), np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+    )
+    three = tml.build_timed_space(line, np.array([0.0, 1.0, 3.0]))
+    a, b = {"1x1": (one, one), "1x3": (one, three), "3x1": (three, one)}[shape]
+    pairs = tuple((i, j) for i in range(a.n) for j in range(b.n))
+    K = tml.DistanceKind
+    upper = {K.GH: 1.5, K.KAPPA_GH: 3.0, K.TAU_H: 3.0, K.PT_GH: 3.0, K.BB_GH: 3.0, K.FD_HH: 3.0}
+    for kind in K:
+        x, y = (a, b) if kind in tml.TIMED_KINDS else (a.base, b.base)
+        bp = (0, 0) if kind is K.PT_GH else None
+        want = 0.0 if shape == "1x1" else upper[kind]
+        exact = tml.distance(kind, x, y, basepoints=bp)
+        search = tml.local_search_upper(kind, x, y, seed=3, basepoints=bp)
+        assert exact.upper == search.upper == want
+        assert exact.certificate.pairs == search.certificate.pairs == pairs
+        assert (exact.explored, search.explored) == (1, 4)
+        assert exact.is_exact == (shape == "1x1" or kind in (K.GH, K.KAPPA_GH, K.TAU_H))
+        assert not exact.budget_exhausted
+
+
+@pytest.mark.parametrize("kind", [tml.DistanceKind.GH, tml.DistanceKind.PT_GH],
+                         ids=lambda k: k.value)
+def test_budgets_at_block_boundaries(kind):
+    # Budgets on both sides of the scan's block size and of the stream's end
+    # (2,945 candidates at 5 x 5), against a plain loop over the same stream
+    # with the plain objective.  On these graph spaces the least pt-gh cost is
+    # tied at every budget, and the merged candidates are not in
+    # lexicographic order: the first tied candidate is not the smallest tuple.
+    x1 = tml.random_metric_space(4, 5, model="graph")
+    x2 = tml.random_metric_space(104, 5, model="graph")
+    anchor = (3, 2)
+    if kind is tml.DistanceKind.GH:
+        stream = [c.pairs for c in tml.minimal_correspondences(5, 5)]
+        plain = lambda corr: tml.engine.distortion(corr, x1, x2) / 2.0
+    else:
+        stream = [tuple(sorted(set(c.pairs) | {anchor})) for c in tml.minimal_correspondences(5, 5)]
+        plain = lambda corr: tml.engine.pointed_glued_objective(corr, x1, anchor[0], x2, anchor[1])
+    assert len(stream) == 2945
+    values = [plain(tml.make_correspondence(5, 5, p)) for p in stream]
+    floor = tml.simple_lower_bounds(kind, x1, x2)
+
+    B = tml.engine.BLOCK
+    for budget in (B - 1, B, B + 1, 2 * B + 1, 2944, 2945, 2946):
+        best, best_pairs = math.inf, None
+        for pairs, value in zip(stream[:budget], values[:budget]):
+            if value < best or (value == best and pairs < best_pairs):
+                best, best_pairs = value, pairs
+        complete = budget >= len(stream)
+        if not complete:
+            lower = min(floor, best)
+        elif kind is tml.DistanceKind.GH:
+            lower = best
+        else:
+            lower = min(max(floor, best / 2.0), best)
+
+        got = tml.distance(kind, x1, x2, budget=budget, basepoints=anchor)
+        assert got.explored == min(budget, len(stream))
+        assert got.budget_exhausted == (not complete)
+        assert got.is_exact == (complete and lower == best)
+        assert (got.upper, got.lower) == (best, lower)
+        assert got.certificate.pairs == best_pairs
