@@ -40,14 +40,41 @@ repeated pair changes no max and no min, so padding needs no sentinel and no
 mask.  Distortion is a running max over row positions, so no
 block x k x k table is built.  Within a block the least value goes to the
 lexicographically smallest tuple that attains it, as in a one-at-a-time scan.
+
+When the whole stream fits the budget and spans more than one block
+(``BLOCK < stream length <= budget``), ``distance`` runs a depth-first
+branch-and-bound over the enumerator's own recursion instead, and returns the
+same value, certificate and ``explored`` (the stream length, counted by
+``correspondence_count`` without enumerating).  A prefix of rows and columns
+is pruned when a bound on every candidate below it cannot beat the best
+candidate held.  Adding pairs never lowers any of the bounds:
+
+* gh: half the prefix's distortion;
+* kappa-gh: the Hausdorff value of the prefix's rho table; tau-h: the same
+  with the time gap joined in;
+* pt-gh, bb-gh, fd-hh: the distortion of the prefix joined with the pairs
+  every required set contains.  Distances are non-negative, so every glued
+  cross entry is at least half the distortion and each glued cost is at
+  least the distortion of its pair set.
+
+The search meets gh, kappa-gh and tau-h candidates in stream order, so once
+it holds one, an equal bound prunes.  Merged candidates are not in stream
+order: an equal bound prunes only a subtree whose every candidate sorts after
+the best tuple, and ties go to the smallest tuple, as in the block scan.
+Leaves are scored through the same batched cost, so values are the same
+floats.  A scan the budget cuts keeps the block scan and its prefix
+semantics, and so does a stream of one block, where one numpy call is
+cheaper than any search.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import chain, islice
 
 import numpy as np
@@ -122,7 +149,7 @@ def transpose(corr: Correspondence) -> Correspondence:
     return Correspondence(n1=corr.n2, n2=corr.n1, pairs=flipped, minimal=corr.minimal)
 
 
-def _minimal_pair_tuples(n1: int, n2: int):
+def _minimal_pair_tuples(n1: int, n2: int, admit=None, retract=None):
     """Yield the sorted pair tuple of every minimal correspondence exactly once.
 
     Rows are processed in order; each row picks a nonempty column set.  A row
@@ -130,6 +157,10 @@ def _minimal_pair_tuples(n1: int, n2: int):
     everyone else), which is precisely the star shape minimality demands.
     Column subsets are explored extension-first, so complete relations appear
     in lexicographic order of their sorted pair tuples.
+
+    A search prunes through `admit(r, c)`: called before pair (r, c) joins the
+    prefix, it may refuse the whole subtree below; `retract()` follows every
+    admitted pair when the recursion backs out of it.
     """
     col_deg = [0] * n2
     frozen = [False] * n2
@@ -161,10 +192,12 @@ def _minimal_pair_tuples(n1: int, n2: int):
             takeable = not frozen[c] and (
                 not chosen or (col_deg[c] == 0 and all(col_deg[x] == 0 for x in chosen))
             )
-            if takeable:
+            if takeable and (admit is None or admit(r, c)):
                 chosen.append(c)
                 yield from cols(c + 1, chosen)
                 chosen.pop()
+                if retract is not None:
+                    retract()
             # The last row must cover every still-uncovered column.
             if not (last and col_deg[c] == 0):
                 yield from cols(c + 1, chosen)
@@ -173,6 +206,27 @@ def _minimal_pair_tuples(n1: int, n2: int):
 
     if n1 >= 1 and n2 >= 1:
         yield from rows(0)
+
+
+@lru_cache(maxsize=None)
+def _star_forests(n1: int, n2: int) -> int:
+    """Spanning star forests of K(n1, n2), split on the star that holds left
+    point 0: a single edge, a star centred on it with k >= 2 leaves, or one of
+    k >= 2 leaves of a star centred on the right."""
+    if n1 == 0 or n2 == 0:
+        return int(n1 == n2)
+    count = n2 * _star_forests(n1 - 1, n2 - 1)
+    for k in range(2, n2 + 1):
+        count += math.comb(n2, k) * _star_forests(n1 - 1, n2 - k)
+    for k in range(2, n1 + 1):
+        count += n2 * math.comb(n1 - 1, k - 1) * _star_forests(n1 - k, n2 - 1)
+    return count
+
+
+def correspondence_count(n1: int, n2: int) -> int:
+    """Number of minimal correspondences between n1 and n2 points, counted
+    without enumerating them: the length of a complete scan's stream."""
+    return _star_forests(n1, n2) if n1 >= 1 and n2 >= 1 else 0
 
 
 def minimal_correspondences(n1: int, n2: int, budget: int | None = None):
@@ -368,6 +422,9 @@ class _Objective:
     pt-gh/bb-gh, every minimal zero-set correspondence for fd-hh.  `exact`:
     the least cost is the distance itself, not a 2-approximation of it.
     `floor` is the kind's simple lower bound.
+    The search bounds a prefix from `work` and, for kappa-gh and tau-h, from
+    `rho`, the profile-gap table of the empty relation; `common` holds the
+    pairs every required set contains.
     """
 
     kind: DistanceKind
@@ -377,6 +434,9 @@ class _Objective:
     required: tuple[tuple[tuple[int, int], ...], ...]
     exact: bool
     floor: float
+    work: _Workspace
+    rho: np.ndarray | None
+    common: tuple[tuple[int, int], ...]
     anchor: tuple[int, int] | None = None
     zeros: tuple[list[int], list[int]] | None = None
 
@@ -406,7 +466,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         for side, t in ((1, a), (2, b)):
             if classify(t, tol) is SpaceClass.GENERIC:
                 raise NotFutureDeveloped(side)
-        z1, z2 = zeros = tuple(list(structure_report(t, delta=tol).zero_set) for t in (a, b))
+        z1, z2 = zeros = _zero_sets(a, b, tol)
         zsel = np.ix_(z1, z2)
         required = tuple(
             tuple((z1[i], z2[j]) for i, j in zp) for zp in _minimal_pair_tuples(len(z1), len(z2))
@@ -418,6 +478,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     floor = simple_lower_bounds(kind, a, b)
     work = _Workspace(x1, x2)
     tau_gap = np.abs(a.tau[:, None] - b.tau[None, :]) if kind is DistanceKind.TAU_H else None
+    rho = np.zeros((x1.n, x2.n)) if kind is DistanceKind.KAPPA_GH else tau_gap
 
     if kind is DistanceKind.GH:
         def costs(block):
@@ -446,9 +507,27 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         required=required,
         exact=not required,
         floor=floor,
+        work=work,
+        rho=rho,
+        common=tuple(sorted(set(required[0]).intersection(*required[1:]))) if required else (),
         anchor=anchor,
         zeros=zeros,
     )
+
+
+def _zero_sets(a, b, tol: float) -> tuple[list[int], list[int]]:
+    """The zero sets of two timed spaces, as fd-hh reads them."""
+    return tuple(list(structure_report(t, delta=tol).zero_set) for t in (a, b))
+
+
+def stream_length(kind: DistanceKind, a, b, tol: float = DEFAULT_TOL) -> int:
+    """Candidates a complete scan of `kind` between a and b scores, counted
+    without building or enumerating anything: the minimal correspondences,
+    each once per minimal zero-set correspondence for fd-hh."""
+    total = correspondence_count(_base_of(a).n, _base_of(b).n)
+    if kind is DistanceKind.FD_HH:
+        total *= max(1, correspondence_count(*map(len, _zero_sets(a, b, tol))))
+    return total
 
 
 def _candidates(obj: _Objective):
@@ -457,14 +536,16 @@ def _candidates(obj: _Objective):
     minimal = _minimal_pair_tuples(obj.n1, obj.n2)
     if not obj.required:
         return minimal
+    return chain.from_iterable(_merged(obj, pairs) for pairs in minimal)
 
-    def merged():
-        for pairs in minimal:
-            have = set(pairs)
-            for extra in obj.required:
-                yield pairs if have.issuperset(extra) else tuple(sorted(have.union(extra)))
 
-    return merged()
+def _merged(obj: _Objective, pairs) -> list:
+    """The candidates one minimal correspondence stands for, in stream order."""
+    if not obj.required:
+        return [pairs]
+    have = set(pairs)
+    return [pairs if have.issuperset(extra) else tuple(sorted(have.union(extra)))
+            for extra in obj.required]
 
 
 def _least(block: list, values: np.ndarray):
@@ -473,6 +554,78 @@ def _least(block: list, values: np.ndarray):
     the first index would not do."""
     low = values.min()
     return low, min(block[i] for i in np.flatnonzero(values == low))
+
+
+def _search(obj: _Objective):
+    """Depth-first branch-and-bound over the scan's own recursion: the least
+    candidate cost and the lexicographically smallest candidate attaining it,
+    exactly what a complete block scan returns.
+
+    A prefix is refused when its bound, at most every candidate cost below
+    it, cannot beat the best candidate held: gh bounds by half the prefix's
+    distortion, kappa-gh and tau-h by the Hausdorff value of the prefix's rho
+    table, and the glued kinds by the distortion of the prefix joined with
+    `common` (every glued cross entry is at least half the distortion).  The
+    search meets unmerged candidates in stream order, so an equal bound
+    prunes them.  Merged candidates are not in stream order: an equal bound
+    prunes only when `may_precede` shows that every candidate below sorts
+    after the best tuple, and ties go to the smallest tuple as in `_least`.
+    """
+    best, best_pairs = math.inf, None
+    beaten = operator.ge if obj.exact else operator.gt
+    n2 = obj.n2
+    if obj.rho is None:
+        dis = obj.work.DIS.tolist()
+        scale = 0.5 if obj.exact else 1.0
+        ids = [a * n2 + b for a, b in obj.common]
+        held = len(ids)
+        running = [max((dis[p][q] for p in ids for q in ids), default=0.0)]
+        extras = [[a * n2 + b for a, b in extra] for extra in obj.required]
+
+        def may_precede(p):
+            """Whether a candidate below the prefix plus pair id p can sort
+            before the best tuple.  Pair ids order as pairs do, and every pair
+            added below is above p, so a candidate merged with `extra` starts
+            with `lead`: the prefix and the ids of `extra` below p."""
+            prefix = ids[held:] + [p]
+            best_ids = [a * n2 + b for a, b in best_pairs]
+            for extra in extras:
+                lead = sorted(set(prefix).union(e for e in extra if e < p))
+                if lead <= best_ids[: len(lead)]:
+                    return True
+            return False
+
+        def admit(r, c):
+            p = r * n2 + c
+            d = max(running[-1], max(map(dis[p].__getitem__, ids), default=0.0))
+            if beaten(d * scale, best) or (d * scale == best and not may_precede(p)):
+                return False
+            ids.append(p)
+            running.append(d)
+            return True
+
+        def retract():
+            ids.pop()
+            running.pop()
+    else:
+        C = obj.work.C
+        tables = [obj.rho]
+
+        def admit(r, c):
+            table = np.maximum(tables[-1], C[r * n2 + c])
+            if beaten(_maxmin(table), best):
+                return False
+            tables.append(table)
+            return True
+
+        retract = tables.pop
+
+    for pairs in _minimal_pair_tuples(obj.n1, n2, admit, retract):
+        block = _merged(obj, pairs)
+        value, cand = _least(block, obj.costs(block))
+        if value < best or (value == best and cand < best_pairs):
+            best, best_pairs = value, cand
+    return best, best_pairs
 
 
 def _result(obj: _Objective, value, pairs, explored, complete, exhausted=False) -> DistanceResult:
@@ -518,6 +671,10 @@ def distance(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     obj = _objective(kind, a, b, tol, basepoints)
+    total = correspondence_count(obj.n1, obj.n2) * max(1, len(obj.required))
+    if BLOCK < total <= budget:
+        value, pairs = _search(obj)
+        return _result(obj, value, pairs, total, complete=True)
     stream = _candidates(obj)
     best = math.inf
     best_pairs = None

@@ -36,6 +36,7 @@ from .engine import (
     fd_hh,
     gh_distance,
     kappa_gh_distance,
+    stream_length,
     tau_h_distance,
 )
 from .errors import BudgetTooSmall, InvalidSpec
@@ -129,13 +130,22 @@ def _make_row(suite, trial, check, a, b, seed, lhs, rhs, tol, asserted=True, **e
     )
 
 
-def _complete(result: DistanceResult) -> DistanceResult:
-    if result.budget_exhausted:
+def _fits(kind: DistanceKind, a, b, budget: int) -> None:
+    """Refuse, before any scanning, an exact scan whose stream is longer than
+    the budget: it could only end cut short."""
+    total = stream_length(kind, a, b)
+    if total > budget:
         raise BudgetTooSmall(
-            f"{result.kind.value}: enumeration stopped after {result.explored} "
-            "correspondences; raise the budget or lower nmax"
+            f"{kind.value}: a complete scan needs {total} correspondences, more than "
+            f"the budget of {budget}; raise the budget or lower nmax"
         )
-    return result
+
+
+def _complete(kind: DistanceKind, driver, a, b, budget: int) -> DistanceResult:
+    """The exact scan of `kind` by its driver, refused up front unless its
+    stream fits the budget (so it always runs to completion)."""
+    _fits(kind, a, b, budget)
+    return driver(a, b, budget=budget)
 
 
 def _trial_rng(cfg: CampaignConfig, suite: str, trial: int) -> np.random.Generator:
@@ -193,8 +203,8 @@ def _sandwich_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rng = _trial_rng(cfg, "sandwich", trial)
     x1, m1, s1 = _random_space(rng, cfg.nmax)
     x2, m2, s2 = _random_space(rng, cfg.nmax)
-    gh = _complete(gh_distance(x1, x2, budget=cfg.budget))
-    kappa = _complete(kappa_gh_distance(x1, x2, budget=cfg.budget))
+    gh = _complete(DistanceKind.GH, gh_distance, x1, x2, cfg.budget)
+    kappa = _complete(DistanceKind.KAPPA_GH, kappa_gh_distance, x1, x2, cfg.budget)
     row = _chain_row(
         "sandwich",
         trial,
@@ -216,9 +226,9 @@ def _order_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rng = _trial_rng(cfg, "order", trial)
     t1, info1 = _random_timed(rng, cfg.nmax)
     t2, info2 = _random_timed(rng, cfg.nmax)
-    gh = _complete(gh_distance(t1.base, t2.base, budget=cfg.budget))
-    kappa = _complete(kappa_gh_distance(t1.base, t2.base, budget=cfg.budget))
-    tau = _complete(tau_h_distance(t1, t2, budget=cfg.budget))
+    gh = _complete(DistanceKind.GH, gh_distance, t1.base, t2.base, cfg.budget)
+    kappa = _complete(DistanceKind.KAPPA_GH, kappa_gh_distance, t1.base, t2.base, cfg.budget)
+    tau = _complete(DistanceKind.TAU_H, tau_h_distance, t1, t2, cfg.budget)
     row = _chain_row(
         "order",
         trial,
@@ -245,8 +255,8 @@ def _bb_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
         t1, info1 = _random_timed(rng, cfg.nmax, time_model="cone")
         t2, info2 = _random_timed(rng, cfg.nmax, time_model="cone")
         gen = [info1, info2]
-    tau = _complete(tau_h_distance(t1, t2, budget=cfg.budget))
-    approx = _complete(bb_gh(t1, t2, budget=cfg.budget))
+    tau = _complete(DistanceKind.TAU_H, tau_h_distance, t1, t2, cfg.budget)
+    approx = _complete(DistanceKind.BB_GH, bb_gh, t1, t2, cfg.budget)
     row = _make_row(
         "bb",
         trial,
@@ -269,8 +279,8 @@ def _fd_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rng = _trial_rng(cfg, "fd", trial)
     t1, info1 = _random_timed(rng, cfg.nmax, time_model="set-cone")
     t2, info2 = _random_timed(rng, cfg.nmax, time_model="set-cone")
-    tau = _complete(tau_h_distance(t1, t2, budget=cfg.budget))
-    approx = _complete(fd_hh(t1, t2, budget=cfg.budget))
+    tau = _complete(DistanceKind.TAU_H, tau_h_distance, t1, t2, cfg.budget)
+    approx = _complete(DistanceKind.FD_HH, fd_hh, t1, t2, cfg.budget)
     row = _make_row(
         "fd",
         trial,
@@ -296,7 +306,7 @@ def _limits_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     # Bang side: X exactly big bang, Y with a nonempty exact zero set.
     x_bb, info_x = _random_timed(rng, cfg.nmax, time_model="cone")
     y1, info_y1 = _random_timed(rng, cfg.nmax, time_model="set-cone")
-    eps = _complete(tau_h_distance(x_bb, y1, budget=cfg.budget)).upper
+    eps = _complete(DistanceKind.TAU_H, tau_h_distance, x_bb, y1, cfg.budget).upper
     report = structure_report(y1, delta=0.0)
     zeros = np.array(report.zero_set, dtype=int)
     spread = float(np.abs(y1.tau[None, :] - y1.d[zeros, :]).max())
@@ -326,7 +336,7 @@ def _limits_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     # Developed side: X exactly future developed, Y arbitrary.
     x_fd, info_x2 = _random_timed(rng, cfg.nmax, time_model="set-cone")
     y2, info_y2 = _random_timed(rng, cfg.nmax, time_model="mcshane")
-    eps2 = _complete(tau_h_distance(x_fd, y2, budget=cfg.budget)).upper
+    eps2 = _complete(DistanceKind.TAU_H, tau_h_distance, x_fd, y2, cfg.budget).upper
     admissible = y2.tau <= eps2 + cfg.tol
     if admissible.any():
         gaps = np.abs(y2.tau[None, :] - y2.d[admissible, :])
@@ -373,7 +383,7 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     t2, info2 = _random_timed(rng, cfg.nmax)
     rows = []
 
-    kappa = _complete(kappa_gh_distance(x1, x2, budget=cfg.budget))
+    kappa = _complete(DistanceKind.KAPPA_GH, kappa_gh_distance, x1, x2, cfg.budget)
     e1, e2 = enumerations_from_correspondence(kappa.certificate)
     cert = hausdorff_sup(frechet_embed(x1, e1), frechet_embed(x2, e2))
     rows.append(
@@ -384,7 +394,7 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
         )
     )
 
-    tau = _complete(tau_h_distance(t1, t2, budget=cfg.budget))
+    tau = _complete(DistanceKind.TAU_H, tau_h_distance, t1, t2, cfg.budget)
     f1, f2 = enumerations_from_correspondence(tau.certificate)
     tcert = hausdorff_sup(timed_frechet_embed(t1, f1), timed_frechet_embed(t2, f2))
     rows.append(
@@ -395,7 +405,7 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
         )
     )
 
-    gh = _complete(gh_distance(x1, x2, budget=cfg.budget))
+    gh = _complete(DistanceKind.GH, gh_distance, x1, x2, cfg.budget)
     dis = distortion(gh.certificate, x1, x2)
     delta = max(dis / 2.0, 10.0 * DEFAULT_TOL)
     glued = glue_by_correspondence(x1, x2, gh.certificate, delta)
@@ -436,9 +446,9 @@ def _triangle_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     ta, info_a = _random_timed(rng, cfg.nmax)
     tb, info_b = _random_timed(rng, cfg.nmax)
     tc, info_c = _random_timed(rng, cfg.nmax)
-    v_ab = _complete(tau_h_distance(ta, tb, budget=cfg.budget)).upper
-    v_bc = _complete(tau_h_distance(tb, tc, budget=cfg.budget)).upper
-    v_ac = _complete(tau_h_distance(ta, tc, budget=cfg.budget)).upper
+    v_ab = _complete(DistanceKind.TAU_H, tau_h_distance, ta, tb, cfg.budget).upper
+    v_bc = _complete(DistanceKind.TAU_H, tau_h_distance, tb, tc, cfg.budget).upper
+    v_ac = _complete(DistanceKind.TAU_H, tau_h_distance, ta, tc, cfg.budget).upper
     denom = v_ab + v_bc
     ratio = v_ac / denom if denom > 0 else (0.0 if v_ac == 0 else math.inf)
     row = _make_row(
@@ -535,21 +545,30 @@ def run_sequence_experiment(
     elements, limit = build_sequence(spec)
     limit_is_bb = classify(limit) is SpaceClass.BIG_BANG
 
-    def measure(j, element):
-        report = structure_report(element, delta=0.0)
-        values: dict = {}
+    def scans(element):
+        """The exact scans of one element against the limit, keyed by column."""
+        out = {}
         if DistanceKind.GH in kinds:
-            values["gh"] = _complete(gh_distance(element.base, limit.base, budget=budget))
-        values["tau"] = _complete(tau_h_distance(element, limit, budget=budget))
+            out["gh"] = (DistanceKind.GH, gh_distance, element.base, limit.base)
+        out["tau"] = (DistanceKind.TAU_H, tau_h_distance, element, limit)
         if (
             DistanceKind.BB_GH in kinds
             and limit_is_bb
             and classify(element) is SpaceClass.BIG_BANG
         ):
-            values["bb"] = _complete(bb_gh(element, limit, budget=budget))
-        return j, element, report, values
+            out["bb"] = (DistanceKind.BB_GH, bb_gh, element, limit)
+        return out
 
-    measured = [measure(j, element) for j, element in enumerate(elements)]
+    # Every scan of the sequence must fit the budget before the first one runs.
+    plans = [scans(element) for element in elements]
+    for plan in plans:
+        for kind, _, a, b in plan.values():
+            _fits(kind, a, b, budget)
+    measured = [
+        (j, element, structure_report(element, delta=0.0),
+         {key: _complete(*scan, budget) for key, scan in plan.items()})
+        for j, (element, plan) in enumerate(zip(elements, plans))
+    ]
 
     if spec.family == "perturb-geometric":
         calibration = measured[0][3]["tau"].upper

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,22 @@ def test_sequence_command(tmp_path, capsys):
     assert len(rows) == 4
     assert all(row["passed"] for row in rows)
     assert [row["j"] for row in rows] == [0, 1, 2, 3]
+
+
+def test_sequence_refuses_scans_beyond_the_budget(tmp_path, capsys):
+    # Element 5 of the family has 10 points against the 5-point base: its gh
+    # stream of 6,970,400 correspondences exceeds the default budget, so the
+    # command stops before the first scan instead of after the budget.
+    base = str(tmp_path / "cone5.json")
+    run(capsys, "gen", "--n", "5", "--seed", "3", "--time", "cone", "-o", base)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sequence", "--family", "refine-bb-cone",
+                         "--base", base, "--out", str(tmp_path / "t.csv"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == ("error: gh: a complete scan needs 6970400 correspondences, more than "
+                   "the budget of 5000000; raise the budget or lower nmax\n")
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_sequence_needs_timed_base(tmp_path, capsys):

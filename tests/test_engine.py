@@ -71,6 +71,25 @@ def test_minimal_enumeration_is_sorted_and_unique():
         assert tml.engine.pairs_are_minimal(pairs)
 
 
+def test_correspondence_count_is_the_stream_length():
+    for n1, n2 in itertools.product(range(6), repeat=2):
+        assert tml.correspondence_count(n1, n2) == len(list(_minimal_pair_tuples(n1, n2))), (n1, n2)
+    # Too long to enumerate in a test; both match a complete scan's `explored`.
+    assert tml.correspondence_count(6, 6) == 63_756
+    assert tml.correspondence_count(7, 7) == 1_748_803
+
+
+def test_stream_length_counts_zero_set_correspondences():
+    x1, x2 = spaces_for(3, 4, 5)
+    a = tml.random_time_function(1, x1, model="set-cone", subset_size=2)
+    b = tml.random_time_function(2, x2, model="set-cone", subset_size=3)
+    assert tml.stream_length(tml.DistanceKind.GH, x1, x2) == 680
+    assert tml.stream_length(tml.DistanceKind.BB_GH, a, b) == 680
+    # 2 x 3 zero sets have 6 minimal correspondences.
+    assert tml.stream_length(tml.DistanceKind.FD_HH, a, b) == 680 * 6
+    assert tml.fd_hh(a, b).explored == 680 * 6
+
+
 def test_minimal_correspondence_stream_budget():
     full = list(tml.minimal_correspondences(2, 2))
     assert len(full) == 2

@@ -92,6 +92,15 @@ def test_config_validation():
         tml.run_suite(tml.CampaignConfig(suite="order", trials=3, nmax=4, seed=5, budget=1))
 
 
+def test_campaign_refuses_a_scan_longer_than_the_budget():
+    # The first order trial at seed 11 compares two 4-point spaces: 184
+    # minimal correspondences, refused up front at a budget of 183.
+    with pytest.raises(BudgetTooSmall, match=r"^gh: a complete scan needs 184 correspondences, "
+                       r"more than the budget of 183; "):
+        tml.run_suite(tml.CampaignConfig(suite="order", trials=1, nmax=4, seed=11, budget=183))
+    assert tml.run_suite(tml.CampaignConfig(suite="order", trials=1, nmax=4, seed=11, budget=184))
+
+
 def bb_cone_base(seed=17, n=4):
     space = tml.random_metric_space(seed, n)
     return tml.make_future_developed(space, [int(space.d.argmax()) // n])
