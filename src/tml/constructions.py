@@ -115,6 +115,8 @@ def random_metric_space(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), n, 0xA11CE]))
     labels = [f"p{i}" for i in range(n)]
     if model == "euclidean":

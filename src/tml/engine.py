@@ -20,10 +20,15 @@ where every related pair has an endpoint of degree one).
 ``minimal_correspondences`` streams them exactly once each, in lexicographic
 order of their sorted pair tuples.
 
-The pointed and zero-set objectives have no known exact finite reformulation;
-for them a complete scan returns a certified 2-approximation interval
-[upper / 2, upper], tightened from below by simple bounds.  A scan cut short
-by its budget certifies only the simple bounds.
+Each glued objective equals the distortion dis(R) of its correspondence R,
+bit for bit (halving and doubling are exact).  With delta = dis(R) / 2, every
+cross entry d1(x, a) + delta + d2(b, y) is at least delta, and the entry of a
+related pair is 0 + delta + 0.  R covers both point sets and both zero sets
+and holds the anchor, so the Hausdorff, anchor and zero-set terms each equal
+delta.  The engine scores pt-gh, bb-gh and fd-hh by the distortion of the
+correspondences that hold the anchor or cover the zero sets.  A complete
+scan certifies the 2-approximation [upper / 2, upper], tightened from below
+by simple bounds; a scan cut short by its budget, only the simple bounds.
 
 Each kind is one objective record (``_objective``): its inputs checked, its
 batched cost, and the pair sets every candidate must contain.  ``distance``
@@ -34,12 +39,12 @@ functions stay as the independent check of certificates.
 The scan scores candidates in blocks of ``BLOCK``, one numpy call chain per
 block, and local search scores each step's whole neighbour list at once.  A
 block is a table of pair ids, one row per candidate; rows shorter than the
-longest repeat their first pair.  Every cost is a max or min over the row's
-pairs (distortion, the profile-gap table rho, the glued cross table), and a
-repeated pair changes no max and no min, so padding needs no sentinel and no
-mask.  Distortion is a running max over row positions, so no
-block x k x k table is built.  Within a block the least value goes to the
-lexicographically smallest tuple that attains it, as in a one-at-a-time scan.
+longest repeat their first pair.  Every cost is a max over the row's pairs
+(distortion or the profile-gap table rho), and a repeated pair changes no
+max, so padding needs no sentinel and no mask.  Distortion is a running max
+over row positions, so no block x k x k table is built.  Within a block the
+least value goes to the lexicographically smallest tuple that attains it, as
+in a one-at-a-time scan.
 
 When the whole stream fits the budget and spans more than one block
 (``BLOCK < stream length <= budget``), ``distance`` runs a depth-first
@@ -53,9 +58,7 @@ candidate held.  Adding pairs never lowers any of the bounds:
 * kappa-gh: the Hausdorff value of the prefix's rho table; tau-h: the same
   with the time gap joined in;
 * pt-gh, bb-gh, fd-hh: the distortion of the prefix joined with the pairs
-  every required set contains.  Distances are non-negative, so every glued
-  cross entry is at least half the distortion and each glued cost is at
-  least the distortion of its pair set.
+  every required set contains.
 
 The search meets gh, kappa-gh and tau-h candidates in stream order, so once
 it holds one, an equal bound prunes.  Merged candidates are not in stream
@@ -351,19 +354,15 @@ class DistanceResult:
 class _Workspace:
     """Shared tensors for scoring blocks of correspondences between one pair.
 
-    Pair (a, b) gets id a * n2 + b.  C[id, x, y] = |d1(a, x) - d2(b, y)| and
-    S[id, x, y] = d1(a, x) + d2(b, y); DIS[id, id'] is the distortion
-    contribution of two pairs.
+    Pair (a, b) gets id a * n2 + b.  C[id, x, y] = |d1(a, x) - d2(b, y)|;
+    DIS[id, id'] is the distortion contribution of two pairs.
     """
 
     def __init__(self, x1: FiniteMetricSpace, x2: FiniteMetricSpace):
         self.n1, self.n2 = x1.n, x2.n
         a = np.repeat(np.arange(self.n1), self.n2)
         b = np.tile(np.arange(self.n2), self.n1)
-        d1r = x1.d[a]
-        d2r = x2.d[b]
-        self.C = np.abs(d1r[:, :, None] - d2r[:, None, :])
-        self.S = d1r[:, :, None] + d2r[:, None, :]
+        self.C = np.abs(x1.d[a][:, :, None] - x2.d[b][:, None, :])
         self.DIS = np.abs(x1.d[np.ix_(a, a)] - x2.d[np.ix_(b, b)])
 
     def ids(self, block) -> np.ndarray:
@@ -382,16 +381,6 @@ class _Workspace:
         for j in range(1, ids.shape[1]):
             np.maximum(out, self.DIS[ids[:, j : j + 1], ids].max(axis=1), out=out)
         return out
-
-
-def _fold(op, tables: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """`op` (np.maximum or np.minimum) of tables[id] over each row of ids,
-    one row position at a time: the rho tables are the max of C, the glued
-    cross tables at offset zero the min of S."""
-    out = tables[ids[:, 0]]
-    for j in range(1, ids.shape[1]):
-        op(out, tables[ids[:, j]], out=out)
-    return out
 
 
 def _base_of(space) -> FiniteMetricSpace:
@@ -421,7 +410,8 @@ class _Objective:
     one candidate per set: none for gh/kappa-gh/tau-h, the basepoint pair for
     pt-gh/bb-gh, every minimal zero-set correspondence for fd-hh.  `exact`:
     the least cost is the distance itself, not a 2-approximation of it.
-    `floor` is the kind's simple lower bound.
+    `floor` is the kind's simple lower bound.  `scale` is the factor of the
+    distortion in the cost of gh (1/2) and of the glued kinds (1).
     The search bounds a prefix from `work` and, for kappa-gh and tau-h, from
     `rho`, the profile-gap table of the empty relation; `common` holds the
     pairs every required set contains.
@@ -437,6 +427,7 @@ class _Objective:
     work: _Workspace
     rho: np.ndarray | None
     common: tuple[tuple[int, int], ...]
+    scale: float
     anchor: tuple[int, int] | None = None
     zeros: tuple[list[int], list[int]] | None = None
 
@@ -448,7 +439,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     ):
         raise TypeError(f"{kind.value} needs timed spaces")
     x1, x2 = _base_of(a), _base_of(b)
-    anchor = zeros = zsel = None
+    anchor = zeros = None
     required = ()
     if kind is DistanceKind.PT_GH:
         if basepoints is None:
@@ -467,7 +458,6 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
             if classify(t, tol) is SpaceClass.GENERIC:
                 raise NotFutureDeveloped(side)
         z1, z2 = zeros = _zero_sets(a, b, tol)
-        zsel = np.ix_(z1, z2)
         required = tuple(
             tuple((z1[i], z2[j]) for i, j in zp) for zp in _minimal_pair_tuples(len(z1), len(z2))
         )
@@ -479,25 +469,19 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     work = _Workspace(x1, x2)
     tau_gap = np.abs(a.tau[:, None] - b.tau[None, :]) if kind is DistanceKind.TAU_H else None
     rho = np.zeros((x1.n, x2.n)) if kind is DistanceKind.KAPPA_GH else tau_gap
+    scale = 0.5 if kind is DistanceKind.GH else 1.0
 
-    if kind is DistanceKind.GH:
+    if rho is None:
+        # gh is half the distortion; each glued cost equals it (see above).
         def costs(block):
-            return work.distortion(work.ids(block)) / 2.0
-    elif not required:
-        def costs(block):
-            rho = _fold(np.maximum, work.C, work.ids(block))
-            if tau_gap is not None:
-                np.maximum(rho, tau_gap, out=rho)
-            return _maxmin(rho)
+            return work.distortion(work.ids(block)) * scale
     else:
-        # Hausdorff cost plus the anchor or zero-set cost, in the gluing at
-        # half the distortion.
         def costs(block):
             ids = work.ids(block)
-            cross = _fold(np.minimum, work.S, ids) + (work.distortion(ids) / 2.0)[:, None, None]
-            if zsel is None:
-                return _maxmin(cross) + cross[:, anchor[0], anchor[1]]
-            return _maxmin(cross) + _maxmin(cross[:, zsel[0], zsel[1]])
+            table = np.maximum(rho, work.C[ids[:, 0]])
+            for j in range(1, ids.shape[1]):
+                np.maximum(table, work.C[ids[:, j]], out=table)
+            return _maxmin(table)
 
     return _Objective(
         kind=kind,
@@ -510,6 +494,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         work=work,
         rho=rho,
         common=tuple(sorted(set(required[0]).intersection(*required[1:]))) if required else (),
+        scale=scale,
         anchor=anchor,
         zeros=zeros,
     )
@@ -562,11 +547,10 @@ def _search(obj: _Objective):
     exactly what a complete block scan returns.
 
     A prefix is refused when its bound, at most every candidate cost below
-    it, cannot beat the best candidate held: gh bounds by half the prefix's
-    distortion, kappa-gh and tau-h by the Hausdorff value of the prefix's rho
-    table, and the glued kinds by the distortion of the prefix joined with
-    `common` (every glued cross entry is at least half the distortion).  The
-    search meets unmerged candidates in stream order, so an equal bound
+    it, cannot beat the best candidate held: gh and the glued kinds bound by
+    the distortion of the prefix joined with `common`, times their `scale`,
+    and kappa-gh and tau-h by the Hausdorff value of the prefix's rho table.
+    The search meets unmerged candidates in stream order, so an equal bound
     prunes them.  Merged candidates are not in stream order: an equal bound
     prunes only when `may_precede` shows that every candidate below sorts
     after the best tuple, and ties go to the smallest tuple as in `_least`.
@@ -576,7 +560,7 @@ def _search(obj: _Objective):
     n2 = obj.n2
     if obj.rho is None:
         dis = obj.work.DIS.tolist()
-        scale = 0.5 if obj.exact else 1.0
+        scale = obj.scale
         ids = [a * n2 + b for a, b in obj.common]
         held = len(ids)
         running = [max((dis[p][q] for p in ids for q in ids), default=0.0)]
@@ -726,10 +710,11 @@ def pointed_gh(
     """Pointed Gromov-Hausdorff objective (Hausdorff plus basepoint distance),
     certified within a factor of two.
 
-    Every gluing scanned is a genuine common embedding, so upper is achievable;
-    a correspondence read back off any embedding of value v has distortion at
-    most 2v, so the scan finds an objective at most 2v.  Hence the true value
-    lies in [upper / 2, upper].
+    The engine's value is the least distortion over the correspondences that
+    contain the basepoint pair, which is the glued objective of each.  The
+    gluing at half that distortion is a genuine common embedding, so upper is
+    achievable; a correspondence read back off any embedding of value v has
+    distortion at most 2v.  Hence the true value lies in [upper / 2, upper].
     """
     return distance(DistanceKind.PT_GH, x1, x2, budget, basepoints=(p1, p2))
 
@@ -751,7 +736,9 @@ def fd_hh(
     tol: float = DEFAULT_TOL,
 ) -> DistanceResult:
     """Hausdorff-plus-zero-set objective for future developed spaces, certified
-    within a factor of two by the same gluing argument as the pointed kind."""
+    within a factor of two by the same gluing argument as the pointed kind.
+    The engine's value is the least distortion over the correspondences that
+    cover both zero sets."""
     return distance(DistanceKind.FD_HH, t1, t2, budget, tol)
 
 

@@ -52,6 +52,14 @@ def _as_real(value, where: str) -> float:
     return float(value)
 
 
+def _built(path, build, *args):
+    """`build(*args)`, with a table it refuses outright reported against the file."""
+    try:
+        return build(*args)
+    except ValueError as err:
+        raise SchemaError(f"{path}: {err}") from None
+
+
 def read_space(path) -> AnySpace:
     """Load a space file; returns a timed space when 'tau' is present."""
     text = Path(path).read_text(encoding="utf-8")
@@ -81,7 +89,7 @@ def read_space(path) -> AnySpace:
         _require(isinstance(row, list) and len(row) == n, f"'d' row {i} must have {n} entries")
         for j, value in enumerate(row):
             table[i, j] = _as_real(value, f"d[{i}][{j}]")
-    space = build_metric_space(labels, table)
+    space = _built(path, build_metric_space, labels, table)
 
     if "tau" not in data:
         _require("zero_set" not in data, "'zero_set' requires 'tau'")
@@ -93,7 +101,7 @@ def read_space(path) -> AnySpace:
         f"'tau' must be a list of {n} numbers",
     )
     tau = np.array([_as_real(v, f"tau[{i}]") for i, v in enumerate(tau_list)])
-    timed = build_timed_space(space, tau)
+    timed = _built(path, build_timed_space, space, tau)
 
     if "zero_set" in data:
         declared = data["zero_set"]

@@ -55,6 +55,30 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 1
     assert "error:" in err
+    # Tables the validator refuses before checking the metric axioms: JSON
+    # NaN/Infinity entries, repeated labels, no points.
+    square = '"d": [[0, 1], [1, 0]]'
+    for text in (
+        '{"name": "x", "labels": ["a", "b"], "d": [[0, Infinity], [Infinity, 0]]}',
+        '{"name": "x", "labels": ["a", "b"], "d": [[0, NaN], [NaN, 0]]}',
+        '{"name": "x", "labels": ["a", "b"], ' + square + ', "tau": [0, NaN]}',
+        '{"name": "x", "labels": ["a", "b"], ' + square + ', "tau": [0, Infinity]}',
+        '{"name": "x", "labels": ["a", "a"], ' + square + '}',
+        '{"name": "x", "labels": [], "d": []}',
+    ):
+        bad.write_text(text)
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 1, text
+        assert err.startswith(f"error: {bad}: "), err
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_gen_rejects_a_dimension_below_one(dim, tmp_path, capsys):
+    target = tmp_path / "space.json"
+    code, out, err = run(capsys, "gen", "--n", "3", "--seed", "1", "--dim", dim, "-o", str(target))
+    assert code == 2
+    assert err == "error: dim must be at least 1\n"
+    assert not target.exists()
 
 
 def test_dist_json_output(tmp_path, capsys):

@@ -6,8 +6,8 @@ bit for bit, a space is at distance zero from itself, and the certificate
 re-evaluates to ``upper``.  The engine's batched cost of a block of relations
 equals the plain per-correspondence function of each relation.  A complete
 scan of a stream longer than one block (the branch-and-bound search) returns
-what a plain loop over the stream returns, and the glued objectives are at
-least the distortion, the bound that search prunes them on.
+what a plain loop over the stream returns, and the glued objectives equal the
+distortion bit for bit, which is how the engine scores them.
 """
 
 import numpy as np
@@ -234,8 +234,8 @@ def test_complete_scan_equals_the_plain_loop(kind, shape, seed, graphs, zeros):
     seed=st.integers(0, 2**16),
     mask=st.integers(0, 2**25 - 1),
 )
-def test_glued_objectives_are_at_least_the_distortion(n1, n2, seed, mask):
-    # The bound the search prunes the glued kinds on.
+def test_glued_objectives_equal_the_distortion(n1, n2, seed, mask):
+    # The identity the engine scores the glued kinds by.
     x1 = tml.random_metric_space(seed, n1, model="graph" if seed % 2 else "euclidean")
     x2 = tml.random_metric_space(seed + 1, n2)
     a = tml.random_time_function(seed, x1, model="set-cone", subset_size=2)
@@ -248,7 +248,7 @@ def test_glued_objectives_are_at_least_the_distortion(n1, n2, seed, mask):
     pointed = tml.make_correspondence(n1, n2, pairs | {anchor})
     fd = tml.make_correspondence(n1, n2, covering(rng, pairs, *zeros))
     engine = tml.engine
-    assert engine.pointed_glued_objective(pointed, x1, anchor[0], x2, anchor[1]) >= (
+    assert engine.pointed_glued_objective(pointed, x1, anchor[0], x2, anchor[1]) == (
         engine.distortion(pointed, x1, x2)
     )
-    assert engine.fd_glued_objective(fd, a, b, *zeros) >= engine.distortion(fd, x1, x2)
+    assert engine.fd_glued_objective(fd, a, b, *zeros) == engine.distortion(fd, x1, x2)
