@@ -158,17 +158,23 @@ def random_time_function(
     set-cone: distance from a random subset (exactly future developed).
     mcshane: max(0, min over random anchors of value + distance), which is
     1-Lipschitz by construction and generically of no special class.
+    `subset_size` and `anchors` must be at least 1 whatever the model; each
+    is capped at the number of points.
     """
+    if subset_size < 1:
+        raise ValueError("subset_size must be at least 1")
+    if anchors < 1:
+        raise ValueError("anchors must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), space.n, 0x71ED]))
     if model == "cone":
         p = int(rng.integers(space.n))
         return make_future_developed(space, [p])
     if model == "set-cone":
-        size = max(1, min(int(subset_size), space.n))
+        size = min(int(subset_size), space.n)
         subset = rng.choice(space.n, size=size, replace=False)
         return make_future_developed(space, subset.tolist())
     if model == "mcshane":
-        count = max(1, min(int(anchors), space.n))
+        count = min(int(anchors), space.n)
         idx = rng.choice(space.n, size=count, replace=False)
         diam = space.diameter or 1.0
         values = rng.uniform(-0.5 * diam, 0.75 * diam, size=count)

@@ -30,50 +30,42 @@ correspondences that hold the anchor or cover the zero sets.  A complete
 scan certifies the 2-approximation [upper / 2, upper], tightened from below
 by simple bounds; a scan cut short by its budget, only the simple bounds.
 
-Each kind is one objective record (``_objective``): its inputs checked, its
-batched cost, and the pair sets every candidate must contain.  ``distance``
-is the one entry behind the six drivers: one scan and one result assembler
-serve every kind and ``local_search_upper``.  The plain per-correspondence
-functions stay as the independent check of certificates.
+Each kind is one objective record (``_objective``): its inputs checked, the
+table of its cost family, its batched cost and prefix bound, and the pair sets
+every candidate must contain.  ``distance`` is the one entry behind the six
+drivers: one scan and one result assembler serve every kind and
+``local_search_upper``.  The plain per-correspondence functions stay as the
+independent check of certificates.
 
-The scan scores candidates in blocks of ``BLOCK``, one numpy call chain per
-block, and local search scores each step's whole neighbour list at once.  A
-block is a table of pair ids, one row per candidate; rows shorter than the
-longest repeat their first pair.  Every cost is a max over the row's pairs
-(distortion or the profile-gap table rho), and a repeated pair changes no
-max, so padding needs no sentinel and no mask.  Distortion is a running max
-over row positions, so no block x k x k table is built.  Within a block the
-least value goes to the lexicographically smallest tuple that attains it, as
-in a one-at-a-time scan.
+Candidates are scored in blocks, one numpy call chain per block, and local
+search scores each step's whole neighbour list at once.  A block is a table
+of pair ids, one row per candidate; rows shorter than the longest repeat
+their first pair.  Every cost is a max over the row's pairs (distortion or
+the profile-gap table rho), and a repeated pair changes no max, so padding
+needs no sentinel and no mask.  Distortion is a running max over row
+positions, so no block x k x k table is built.  Within a block the least
+value goes to the lexicographically smallest tuple that attains it, as in a
+one-at-a-time scan.
 
-When the whole stream fits the budget and spans more than one block
-(``BLOCK < stream length <= budget``), ``distance`` runs a depth-first
-branch-and-bound over the enumerator's own recursion instead, and returns the
-same value, certificate and ``explored`` (the stream length, counted by
-``correspondence_count`` without enumerating).  A prefix of rows and columns
-is pruned when a bound on every candidate below it cannot beat the best
-candidate held.  Adding pairs never lowers any of the bounds:
-
-* gh: half the prefix's distortion;
-* kappa-gh: the Hausdorff value of the prefix's rho table; tau-h: the same
-  with the time gap joined in;
-* pt-gh, bb-gh, fd-hh: the distortion of the prefix joined with the pairs
-  every required set contains.
-
-The search meets gh, kappa-gh and tau-h candidates in stream order, so once
-it holds one, an equal bound prunes.  Merged candidates are not in stream
-order: an equal bound prunes only a subtree whose every candidate sorts after
-the best tuple, and ties go to the smallest tuple, as in the block scan.
-Leaves are scored through the same batched cost, so values are the same
-floats.  A scan the budget cuts keeps the block scan and its prefix
-semantics, and so does a stream of one block, where one numpy call is
-cheaper than any search.
+There is one scan, ``_scan``.  The stream length is counted without
+enumerating (``stream_length``); the scan is complete exactly when it fits
+the budget, and ``explored`` is the smaller of the two.  A cut scan, or a
+stream of one block, scores the stream's first ``budget`` candidates in
+blocks of ``BLOCK``.  A complete stream longer than one block is pruned: each
+block holds one minimal correspondence's merged candidates, and the
+enumerator's recursion refuses a prefix whose bound, at most the cost of
+every candidate below it, cannot beat the best candidate held.  The bound
+never decreases as pairs are added: the distortion of the prefix joined with
+the pairs every required set contains, times the kind's scale, or the
+Hausdorff value of the prefix's rho table.  Unmerged candidates come in
+stream order, so an equal bound prunes them; merged candidates do not, so an
+equal bound prunes only a subtree whose every candidate sorts after the best
+tuple.  Pruning changes no value, certificate or ``explored`` count.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -161,7 +153,7 @@ def _minimal_pair_tuples(n1: int, n2: int, admit=None, retract=None):
     Column subsets are explored extension-first, so complete relations appear
     in lexicographic order of their sorted pair tuples.
 
-    A search prunes through `admit(r, c)`: called before pair (r, c) joins the
+    A scan prunes through `admit(r, c)`: called before pair (r, c) joins the
     prefix, it may refuse the whole subtree below; `retract()` follows every
     admitted pair when the recursion backs out of it.
     """
@@ -327,7 +319,7 @@ def fd_glued_objective(
 
 
 # ---------------------------------------------------------------------------
-# Result type and the objective record shared by every search.
+# Result type and the objective record shared by the scan and local search.
 
 
 @dataclass(frozen=True)
@@ -351,36 +343,15 @@ class DistanceResult:
     zero_pairs: tuple[tuple[int, int], ...] | None = None
 
 
-class _Workspace:
-    """Shared tensors for scoring blocks of correspondences between one pair.
-
-    Pair (a, b) gets id a * n2 + b.  C[id, x, y] = |d1(a, x) - d2(b, y)|;
-    DIS[id, id'] is the distortion contribution of two pairs.
-    """
-
-    def __init__(self, x1: FiniteMetricSpace, x2: FiniteMetricSpace):
-        self.n1, self.n2 = x1.n, x2.n
-        a = np.repeat(np.arange(self.n1), self.n2)
-        b = np.tile(np.arange(self.n2), self.n1)
-        self.C = np.abs(x1.d[a][:, :, None] - x2.d[b][:, None, :])
-        self.DIS = np.abs(x1.d[np.ix_(a, a)] - x2.d[np.ix_(b, b)])
-
-    def ids(self, block) -> np.ndarray:
-        """Pair ids of a block of sorted pair tuples, one row per tuple, each
-        row padded to the longest by repeating its first pair."""
-        width = max(map(len, block), default=1)
-        padded = [p + p[:1] * (width - len(p)) for p in block]
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(padded)), dtype=np.intp,
-                           count=2 * width * len(block)).reshape(len(block), width, 2)
-        return flat[:, :, 0] * self.n2 + flat[:, :, 1]
-
-    def distortion(self, ids: np.ndarray) -> np.ndarray:
-        """Distortion of each row, as a running max over its positions of the
-        contributions against the whole row."""
-        out = self.DIS[ids[:, :1], ids].max(axis=1)
-        for j in range(1, ids.shape[1]):
-            np.maximum(out, self.DIS[ids[:, j : j + 1], ids].max(axis=1), out=out)
-        return out
+def _pair_ids(block, n2: int) -> np.ndarray:
+    """Pair ids (a * n2 + b for pair (a, b)) of a block of sorted pair tuples,
+    one row per tuple, each row padded to the longest by repeating its first
+    pair."""
+    width = max(map(len, block), default=1)
+    padded = [p + p[:1] * (width - len(p)) for p in block]
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(padded)), dtype=np.intp,
+                       count=2 * width * len(block)).reshape(len(block), width, 2)
+    return flat[:, :, 0] * n2 + flat[:, :, 1]
 
 
 def _base_of(space) -> FiniteMetricSpace:
@@ -402,38 +373,41 @@ def simple_lower_bounds(kind: DistanceKind, a, b) -> float:
 
 @dataclass(frozen=True)
 class _Objective:
-    """One distance kind between two checked inputs.
+    """One distance kind between two checked inputs, in one of two cost
+    families: the distortion (gh at scale 1/2, the glued kinds at scale 1)
+    or the Hausdorff value of the profile-gap table rho (kappa-gh, and tau-h
+    with the time gap joined in).
 
     `costs` maps a block (a list) of sorted pair tuples to the array of their
-    per-correspondence costs.
+    per-correspondence costs.  `prefix()` starts an empty prefix of pairs and
+    returns `(extend, undo)`: `extend(p)` adds pair id p and returns a bound
+    at most the cost of every candidate that holds the prefix, never less
+    than the bound before; `undo()` drops the last pair added.
     `required` holds the pair sets merged into each minimal correspondence,
     one candidate per set: none for gh/kappa-gh/tau-h, the basepoint pair for
-    pt-gh/bb-gh, every minimal zero-set correspondence for fd-hh.  `exact`:
-    the least cost is the distance itself, not a 2-approximation of it.
-    `floor` is the kind's simple lower bound.  `scale` is the factor of the
-    distortion in the cost of gh (1/2) and of the glued kinds (1).
-    The search bounds a prefix from `work` and, for kappa-gh and tau-h, from
-    `rho`, the profile-gap table of the empty relation; `common` holds the
-    pairs every required set contains.
+    pt-gh/bb-gh, every minimal zero-set correspondence for fd-hh.  `floor` is
+    the kind's simple lower bound.
     """
 
     kind: DistanceKind
     n1: int
     n2: int
     costs: Callable[[list], np.ndarray]
+    prefix: Callable[[], tuple[Callable[[int], float], Callable[[], None]]]
     required: tuple[tuple[tuple[int, int], ...], ...]
-    exact: bool
     floor: float
-    work: _Workspace
-    rho: np.ndarray | None
-    common: tuple[tuple[int, int], ...]
-    scale: float
     anchor: tuple[int, int] | None = None
     zeros: tuple[list[int], list[int]] | None = None
 
+    @property
+    def exact(self) -> bool:
+        """The least cost is the distance itself, not a 2-approximation of it."""
+        return not self.required
+
 
 def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Objective:
-    """Check the inputs of `kind` and build its objective between a and b."""
+    """Check the inputs of `kind` and build its objective between a and b,
+    with only the table of its cost family."""
     if kind in TIMED_KINDS and not (
         isinstance(a, TimedMetricSpace) and isinstance(b, TimedMetricSpace)
     ):
@@ -465,36 +439,73 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         raise ValueError(f"unknown distance kind {kind!r}")
     if anchor is not None:
         required = ((anchor,),)
-    floor = simple_lower_bounds(kind, a, b)
-    work = _Workspace(x1, x2)
-    tau_gap = np.abs(a.tau[:, None] - b.tau[None, :]) if kind is DistanceKind.TAU_H else None
-    rho = np.zeros((x1.n, x2.n)) if kind is DistanceKind.KAPPA_GH else tau_gap
-    scale = 0.5 if kind is DistanceKind.GH else 1.0
+    n2 = x2.n
+    rows, cols = np.repeat(np.arange(x1.n), n2), np.tile(np.arange(n2), x1.n)
 
-    if rho is None:
-        # gh is half the distortion; each glued cost equals it (see above).
+    if kind in (DistanceKind.KAPPA_GH, DistanceKind.TAU_H):
+        # C[id, x, y] = |d1(a, x) - d2(b, y)| for pair id a * n2 + b; the rho
+        # table of the empty relation is zero, or the time gap for tau-h.
+        C = np.abs(x1.d[rows][:, :, None] - x2.d[cols][:, None, :])
+        rho = (np.abs(a.tau[:, None] - b.tau[None, :]) if kind is DistanceKind.TAU_H
+               else np.zeros((x1.n, n2)))
+
         def costs(block):
-            return work.distortion(work.ids(block)) * scale
-    else:
-        def costs(block):
-            ids = work.ids(block)
-            table = np.maximum(rho, work.C[ids[:, 0]])
+            ids = _pair_ids(block, n2)
+            table = np.maximum(rho, C[ids[:, 0]])
             for j in range(1, ids.shape[1]):
-                np.maximum(table, work.C[ids[:, j]], out=table)
+                np.maximum(table, C[ids[:, j]], out=table)
             return _maxmin(table)
+
+        def prefix():
+            tables = [rho]
+
+            def extend(p):
+                tables.append(np.maximum(tables[-1], C[p]))
+                return _maxmin(tables[-1])
+
+            return extend, tables.pop
+    else:
+        # DIS[id, id'] is the distortion contribution of two pairs times the
+        # kind's scale: gh is half the distortion, and each glued cost equals
+        # it (see above).  Rounding is monotone, so the max of scaled entries
+        # is the scaled max, bit for bit.  A glued prefix holds the pairs
+        # every required set contains from the start.
+        scale = 0.5 if kind is DistanceKind.GH else 1.0
+        DIS = np.abs(x1.d[np.ix_(rows, rows)] - x2.d[np.ix_(cols, cols)]) * scale
+        common = sorted(set(required[0]).intersection(*required[1:])) if required else []
+
+        def costs(block):
+            ids = _pair_ids(block, n2)
+            out = DIS[ids[:, :1], ids].max(axis=1)
+            for j in range(1, ids.shape[1]):
+                np.maximum(out, DIS[ids[:, j : j + 1], ids].max(axis=1), out=out)
+            return out
+
+        def prefix():
+            dis = DIS.tolist()
+            ids = [p * n2 + q for p, q in common]
+            # running[k] is the distortion of the first k ids; extend writes it
+            # before reading it.  A path holds each pair id at most once, so
+            # len(dis) slots past the common pairs suffice.
+            start = max((dis[p][q] for p in ids for q in ids), default=0.0)
+            running = [start] * (len(ids) + len(dis) + 1)
+
+            def extend(p):
+                k = len(ids)
+                d = running[k + 1] = max(running[k], max(map(dis[p].__getitem__, ids), default=0.0))
+                ids.append(p)
+                return d
+
+            return extend, ids.pop
 
     return _Objective(
         kind=kind,
         n1=x1.n,
-        n2=x2.n,
+        n2=n2,
         costs=costs,
+        prefix=prefix,
         required=required,
-        exact=not required,
-        floor=floor,
-        work=work,
-        rho=rho,
-        common=tuple(sorted(set(required[0]).intersection(*required[1:]))) if required else (),
-        scale=scale,
+        floor=simple_lower_bounds(kind, a, b),
         anchor=anchor,
         zeros=zeros,
     )
@@ -515,15 +526,6 @@ def stream_length(kind: DistanceKind, a, b, tol: float = DEFAULT_TOL) -> int:
     return total
 
 
-def _candidates(obj: _Objective):
-    """The scan's stream: each minimal correspondence merged with each
-    required pair set, as sorted pair tuples."""
-    minimal = _minimal_pair_tuples(obj.n1, obj.n2)
-    if not obj.required:
-        return minimal
-    return chain.from_iterable(_merged(obj, pairs) for pairs in minimal)
-
-
 def _merged(obj: _Objective, pairs) -> list:
     """The candidates one minimal correspondence stands for, in stream order."""
     if not obj.required:
@@ -541,71 +543,58 @@ def _least(block: list, values: np.ndarray):
     return low, min(block[i] for i in np.flatnonzero(values == low))
 
 
-def _search(obj: _Objective):
-    """Depth-first branch-and-bound over the scan's own recursion: the least
-    candidate cost and the lexicographically smallest candidate attaining it,
-    exactly what a complete block scan returns.
+def _scan(obj: _Objective, total: int, budget: int):
+    """The least cost among the first `budget` candidates of a stream of
+    `total`, and the lexicographically smallest candidate attaining it.
 
-    A prefix is refused when its bound, at most every candidate cost below
-    it, cannot beat the best candidate held: gh and the glued kinds bound by
-    the distortion of the prefix joined with `common`, times their `scale`,
-    and kappa-gh and tau-h by the Hausdorff value of the prefix's rho table.
-    The search meets unmerged candidates in stream order, so an equal bound
+    A complete stream longer than one block is pruned: a prefix is refused
+    when its bound cannot beat the best candidate held.  The exact kinds'
+    candidates are unmerged and met in stream order, so an equal bound
     prunes them.  Merged candidates are not in stream order: an equal bound
     prunes only when `may_precede` shows that every candidate below sorts
     after the best tuple, and ties go to the smallest tuple as in `_least`.
+    Any other stream is scored in blocks of BLOCK.
     """
     best, best_pairs = math.inf, None
-    beaten = operator.ge if obj.exact else operator.gt
     n2 = obj.n2
-    if obj.rho is None:
-        dis = obj.work.DIS.tolist()
-        scale = obj.scale
-        ids = [a * n2 + b for a, b in obj.common]
-        held = len(ids)
-        running = [max((dis[p][q] for p in ids for q in ids), default=0.0)]
+    if BLOCK < total <= budget:
+        extend, undo = obj.prefix()
+        exact = obj.exact
+        path: list[int] = []
         extras = [[a * n2 + b for a, b in extra] for extra in obj.required]
 
         def may_precede(p):
-            """Whether a candidate below the prefix plus pair id p can sort
+            """Whether a candidate below the path plus pair id p can sort
             before the best tuple.  Pair ids order as pairs do, and every pair
             added below is above p, so a candidate merged with `extra` starts
-            with `lead`: the prefix and the ids of `extra` below p."""
-            prefix = ids[held:] + [p]
+            with `lead`: the path, p and the ids of `extra` below p."""
+            held = path + [p]
             best_ids = [a * n2 + b for a, b in best_pairs]
             for extra in extras:
-                lead = sorted(set(prefix).union(e for e in extra if e < p))
+                lead = sorted(set(held).union(e for e in extra if e < p))
                 if lead <= best_ids[: len(lead)]:
                     return True
             return False
 
         def admit(r, c):
             p = r * n2 + c
-            d = max(running[-1], max(map(dis[p].__getitem__, ids), default=0.0))
-            if beaten(d * scale, best) or (d * scale == best and not may_precede(p)):
+            bound = extend(p)
+            if bound > best or (bound == best and (exact or not may_precede(p))):
+                undo()
                 return False
-            ids.append(p)
-            running.append(d)
+            path.append(p)
             return True
 
         def retract():
-            ids.pop()
-            running.pop()
+            undo()
+            path.pop()
+
+        blocks = (_merged(obj, pairs) for pairs in _minimal_pair_tuples(obj.n1, n2, admit, retract))
     else:
-        C = obj.work.C
-        tables = [obj.rho]
-
-        def admit(r, c):
-            table = np.maximum(tables[-1], C[r * n2 + c])
-            if beaten(_maxmin(table), best):
-                return False
-            tables.append(table)
-            return True
-
-        retract = tables.pop
-
-    for pairs in _minimal_pair_tuples(obj.n1, n2, admit, retract):
-        block = _merged(obj, pairs)
+        minimal = _minimal_pair_tuples(obj.n1, n2)
+        stream = islice(chain.from_iterable(_merged(obj, pairs) for pairs in minimal), budget)
+        blocks = iter(lambda: list(islice(stream, BLOCK)), [])
+    for block in blocks:
         value, cand = _least(block, obj.costs(block))
         if value < best or (value == best and cand < best_pairs):
             best, best_pairs = value, cand
@@ -655,24 +644,10 @@ def distance(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     obj = _objective(kind, a, b, tol, basepoints)
-    total = correspondence_count(obj.n1, obj.n2) * max(1, len(obj.required))
-    if BLOCK < total <= budget:
-        value, pairs = _search(obj)
-        return _result(obj, value, pairs, total, complete=True)
-    stream = _candidates(obj)
-    best = math.inf
-    best_pairs = None
-    explored = 0
-    while explored < budget:
-        block = list(islice(stream, min(BLOCK, budget - explored)))
-        if not block:
-            break
-        explored += len(block)
-        value, pairs = _least(block, obj.costs(block))
-        if value < best or (value == best and pairs < best_pairs):
-            best, best_pairs = value, pairs
-    exhausted = explored == budget and next(stream, None) is not None
-    return _result(obj, best, best_pairs, explored, not exhausted, exhausted)
+    total = stream_length(kind, a, b, tol)
+    value, pairs = _scan(obj, total, budget)
+    complete = total <= budget
+    return _result(obj, value, pairs, min(total, budget), complete, not complete)
 
 
 # ---------------------------------------------------------------------------

@@ -474,8 +474,8 @@ _TRIAL_BODIES = {
 def _check_config(cfg: CampaignConfig) -> None:
     if cfg.suite not in SUITES:
         raise InvalidSpec(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITES)}")
-    if cfg.trials < 1 or cfg.nmax < 1 or cfg.tol <= 0:
-        raise InvalidSpec("trials and nmax must be >= 1 and tol > 0")
+    if cfg.trials < 1 or cfg.nmax < 1 or not 0 < cfg.tol < math.inf:
+        raise InvalidSpec("trials and nmax must be >= 1 and tol finite and > 0")
     if cfg.nmax > EXACT_NMAX:
         raise BudgetTooSmall(
             f"suites need exact distances, which caps nmax at {EXACT_NMAX} "

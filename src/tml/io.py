@@ -49,25 +49,29 @@ def _require(condition: bool, message: str) -> None:
 def _as_real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _built(path, build, *args):
-    """`build(*args)`, with a table it refuses outright reported against the file."""
     try:
-        return build(*args)
-    except ValueError as err:
-        raise SchemaError(f"{path}: {err}") from None
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: integer too large for a float") from None
 
 
 def read_space(path) -> AnySpace:
-    """Load a space file; returns a timed space when 'tau' is present."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Load a space file; returns a timed space when 'tau' is present.  Every
+    ParseError and SchemaError it raises starts with the path."""
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: line {err.lineno} column {err.colno}: {err.msg}") from None
+    except ValueError as err:  # bytes that are not UTF-8, an integer too long to read
+        raise ParseError(f"{path}: {err}") from None
+    try:
+        return _space_of(data)
+    except (SchemaError, ValueError) as err:  # the builders refuse a table by ValueError
+        raise SchemaError(f"{path}: {err}") from None
 
+
+def _space_of(data) -> AnySpace:
+    """The space a parsed space file describes."""
     _require(isinstance(data, dict), "top level must be a JSON object")
     unknown = set(data) - _ALLOWED_KEYS
     _require(not unknown, f"unknown keys: {sorted(unknown)}")
@@ -89,7 +93,7 @@ def read_space(path) -> AnySpace:
         _require(isinstance(row, list) and len(row) == n, f"'d' row {i} must have {n} entries")
         for j, value in enumerate(row):
             table[i, j] = _as_real(value, f"d[{i}][{j}]")
-    space = _built(path, build_metric_space, labels, table)
+    space = build_metric_space(labels, table)
 
     if "tau" not in data:
         _require("zero_set" not in data, "'zero_set' requires 'tau'")
@@ -101,7 +105,7 @@ def read_space(path) -> AnySpace:
         f"'tau' must be a list of {n} numbers",
     )
     tau = np.array([_as_real(v, f"tau[{i}]") for i, v in enumerate(tau_list)])
-    timed = _built(path, build_timed_space, space, tau)
+    timed = build_timed_space(space, tau)
 
     if "zero_set" in data:
         declared = data["zero_set"]

@@ -65,11 +65,19 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
         '{"name": "x", "labels": ["a", "b"], ' + square + ', "tau": [0, Infinity]}',
         '{"name": "x", "labels": ["a", "a"], ' + square + '}',
         '{"name": "x", "labels": [], "d": []}',
+        # A missing key, and an integer too large for a float.
+        '{"name": "x"}',
+        '{"name": "x", "labels": ["a", "b"], "d": [[0, 1' + "0" * 400 + '], [1, 0]]}',
     ):
         bad.write_text(text)
         code, out, err = run(capsys, "validate", str(bad))
         assert code == 1, text
         assert err.startswith(f"error: {bad}: "), err
+    # Bytes that are not UTF-8 are a parse error, like malformed JSON.
+    bad.write_bytes(b'{"name": "\xff"}')
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert err.startswith(f"error: {bad}: "), err
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
@@ -78,6 +86,17 @@ def test_gen_rejects_a_dimension_below_one(dim, tmp_path, capsys):
     code, out, err = run(capsys, "gen", "--n", "3", "--seed", "1", "--dim", dim, "-o", str(target))
     assert code == 2
     assert err == "error: dim must be at least 1\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("option, value", [("--subset-size", "0"), ("--anchors", "-2")])
+def test_gen_rejects_a_count_below_one(option, value, tmp_path, capsys):
+    target = tmp_path / "space.json"
+    code, out, err = run(capsys, "gen", "--n", "3", "--seed", "1", "--time", "set-cone",
+                         option, value, "-o", str(target))
+    assert code == 2
+    name = option[2:].replace("-", "_")
+    assert err == f"error: {name} must be at least 1\n"
     assert not target.exists()
 
 

@@ -84,8 +84,9 @@ def test_config_validation():
         tml.run_suite(tml.CampaignConfig(suite="mystery", trials=1))
     with pytest.raises(InvalidSpec):
         tml.run_suite(tml.CampaignConfig(suite="order", trials=0))
-    with pytest.raises(InvalidSpec):
-        tml.run_suite(tml.CampaignConfig(suite="order", trials=1, tol=-1.0))
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidSpec):
+            tml.run_suite(tml.CampaignConfig(suite="order", trials=1, tol=tol))
     with pytest.raises(BudgetTooSmall):
         tml.run_suite(tml.CampaignConfig(suite="order", trials=1, nmax=5))
     with pytest.raises(BudgetTooSmall):

@@ -5,9 +5,11 @@ swapping the arguments and relabelling the points leave ``upper`` unchanged
 bit for bit, a space is at distance zero from itself, and the certificate
 re-evaluates to ``upper``.  The engine's batched cost of a block of relations
 equals the plain per-correspondence function of each relation.  A complete
-scan of a stream longer than one block (the branch-and-bound search) returns
-what a plain loop over the stream returns, and the glued objectives equal the
-distortion bit for bit, which is how the engine scores them.
+scan of a stream longer than one block (the pruned scan) returns what a plain
+loop over the stream returns, and the glued objectives equal the distortion
+bit for bit, which is how the engine scores them.  The prefix bounds the scan
+prunes on never decrease as pairs are added, never exceed the cost of a
+candidate that holds the prefix, and come back when a pair is undone.
 """
 
 import numpy as np
@@ -252,3 +254,62 @@ def test_glued_objectives_equal_the_distortion(n1, n2, seed, mask):
         engine.distortion(pointed, x1, x2)
     )
     assert engine.fd_glued_objective(fd, a, b, *zeros) == engine.distortion(fd, x1, x2)
+
+
+def minimized(rng, pairs):
+    """A minimal correspondence inside a covering relation: visit its pairs
+    in random order and drop each whose both endpoints are shared."""
+    pairs = sorted(pairs)
+    deg1, deg2 = {}, {}
+    for p, q in pairs:
+        deg1[p] = deg1.get(p, 0) + 1
+        deg2[q] = deg2.get(q, 0) + 1
+    for k in rng.permutation(len(pairs)):
+        p, q = pairs[k]
+        if deg1[p] > 1 and deg2[q] > 1:
+            deg1[p] -= 1
+            deg2[q] -= 1
+            pairs[k] = None
+    return tuple(pair for pair in pairs if pair is not None)
+
+
+@pytest.mark.parametrize("kind", list(K), ids=lambda k: k.value)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n1=st.integers(2, 5),
+    n2=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+    graphs=st.booleans(),
+    masks=st.lists(st.integers(0, 2**25 - 1), min_size=1, max_size=4),
+    zeros=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+)
+def test_prefix_bounds_never_decrease_and_never_pass_a_cost(
+    kind, n1, n2, seed, graphs, masks, zeros
+):
+    # The contract the complete scan prunes on, pair by pair in stream order.
+    x1 = tml.random_metric_space(seed, n1, model="graph" if graphs else "euclidean")
+    x2 = tml.random_metric_space(seed + 1, n2, model="graph")
+    model = "set-cone" if kind is K.FD_HH else "cone"
+    a = tml.random_time_function(seed, x1, model=model, subset_size=zeros[0])
+    b = tml.random_time_function(seed + 1, x2, model=model, subset_size=zeros[1])
+    x, y = (a, b) if kind in tml.TIMED_KINDS else (x1, x2)
+    engine = tml.engine
+    obj = engine._objective(kind, x, y, basepoints=(seed % n1, seed // n1 % n2))
+    rng = np.random.default_rng(seed)
+    cells = [(i, j) for i in range(n1) for j in range(n2)]
+    for mask in masks:
+        grid = {c for k, c in enumerate(cells) if mask >> k & 1}
+        pairs = minimized(rng, covering(rng, grid, range(n1), range(n2)))
+        assert engine.pairs_are_minimal(pairs)
+        ids = [p * n2 + q for p, q in pairs]
+        extend, undo = obj.prefix()
+        bounds = [extend(i) for i in ids]
+        assert bounds == sorted(bounds)
+        costs = obj.costs(engine._merged(obj, pairs))
+        assert bounds[-1] <= costs.min()
+        if kind is not K.FD_HH:
+            assert bounds[-1] == costs.min()
+        for k in reversed(range(len(ids))):
+            undo()
+            assert extend(ids[k]) == bounds[k]
+            undo()
