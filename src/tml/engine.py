@@ -49,18 +49,18 @@ one-at-a-time scan.
 
 There is one scan, ``_scan``.  The stream length is counted without
 enumerating (``stream_length``); the scan is complete exactly when it fits
-the budget, and ``explored`` is the smaller of the two.  A cut scan, or a
-stream of one block, scores the stream's first ``budget`` candidates in
-blocks of ``BLOCK``.  A complete stream longer than one block is pruned: each
-block holds one minimal correspondence's merged candidates, and the
-enumerator's recursion refuses a prefix whose bound, at most the cost of
-every candidate below it, cannot beat the best candidate held.  The bound
-never decreases as pairs are added: the distortion of the prefix joined with
-the pairs every required set contains, times the kind's scale, or the
-Hausdorff value of the prefix's rho table.  Unmerged candidates come in
-stream order, so an equal bound prunes them; merged candidates do not, so an
-equal bound prunes only a subtree whose every candidate sorts after the best
-tuple.  Pruning changes no value, certificate or ``explored`` count.
+the budget, and ``explored`` is the smaller of the two.  Completeness alone
+picks the walk.  A cut scan scores the stream's first ``budget`` candidates
+in blocks of ``BLOCK``.  A complete scan is pruned: each block holds one
+minimal correspondence's merged candidates, and the enumerator refuses a
+prefix whose bound, at most the cost of every candidate below it, cannot
+beat the best candidate held.  The bound never decreases as pairs are
+added: the distortion of the prefix joined with the pairs every required set
+contains, times the kind's scale, or the Hausdorff value of the prefix's rho
+table.  Unmerged candidates come in stream order, so an equal bound prunes
+them; merged candidates do not, so an equal bound prunes only a subtree
+whose every candidate sorts after the best tuple.  Pruning changes no value,
+certificate or ``explored`` count.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ from .spaces import (
 )
 
 DEFAULT_BUDGET = 5_000_000
-# Candidates scored per numpy call.  A few hundred amortise the per-call cost;
-# larger blocks only add memory.
+# Candidates a cut scan scores per numpy call.  A few hundred amortise the
+# per-call cost; larger blocks only add memory.
 BLOCK = 512
 
 
@@ -147,11 +147,14 @@ def transpose(corr: Correspondence) -> Correspondence:
 def _minimal_pair_tuples(n1: int, n2: int, admit=None, retract=None):
     """Yield the sorted pair tuple of every minimal correspondence exactly once.
 
-    Rows are processed in order; each row picks a nonempty column set.  A row
-    with two or more columns must own them exclusively (they are frozen for
-    everyone else), which is precisely the star shape minimality demands.
-    Column subsets are explored extension-first, so complete relations appear
-    in lexicographic order of their sorted pair tuples.
+    Rows are processed in order; each row picks a nonempty column set in one
+    loop over its columns, recursing into each column it takes and ending the
+    row after the loop, so a set's extensions come before the set itself and
+    complete relations appear in lexicographic order of their sorted pair
+    tuples.  A row with two or more columns must own them exclusively (they
+    are frozen for everyone else), which is precisely the star shape
+    minimality demands.  The last row must take every column no earlier row
+    covers, so its loop returns at the first one it would leave uncovered.
 
     A scan prunes through `admit(r, c)`: called before pair (r, c) joins the
     prefix, it may refuse the whole subtree below; `retract()` follows every
@@ -161,46 +164,37 @@ def _minimal_pair_tuples(n1: int, n2: int, admit=None, retract=None):
     frozen = [False] * n2
     prefix: list[tuple[int, int]] = []
 
-    def rows(r: int):
-        if r == n1:
-            if all(col_deg):
-                yield tuple(prefix)
-            return
+    def row(r: int, start: int, chosen: list[int]):
         last = r == n1 - 1
-
-        def cols(c: int, chosen: list[int]):
-            if c == n2:
-                if chosen:
-                    multi = len(chosen) >= 2
-                    for j in chosen:
-                        col_deg[j] += 1
-                        if multi:
-                            frozen[j] = True
-                    prefix.extend((r, j) for j in chosen)
-                    yield from rows(r + 1)
-                    del prefix[-len(chosen):]
-                    for j in chosen:
-                        col_deg[j] -= 1
-                        if multi:
-                            frozen[j] = False
-                return
-            takeable = not frozen[c] and (
-                not chosen or (col_deg[c] == 0 and all(col_deg[x] == 0 for x in chosen))
-            )
+        for c in range(start, n2):
+            takeable = col_deg[c] == 0 and col_deg[chosen[0]] == 0 if chosen else not frozen[c]
             if takeable and (admit is None or admit(r, c)):
                 chosen.append(c)
-                yield from cols(c + 1, chosen)
+                prefix.append((r, c))
+                yield from row(r, c + 1, chosen)
+                prefix.pop()
                 chosen.pop()
                 if retract is not None:
                     retract()
             # The last row must cover every still-uncovered column.
-            if not (last and col_deg[c] == 0):
-                yield from cols(c + 1, chosen)
-
-        yield from cols(0, [])
+            if last and col_deg[c] == 0:
+                return
+        if not chosen:
+            return
+        if last:
+            yield tuple(prefix)
+            return
+        multi = len(chosen) >= 2
+        for j in chosen:
+            col_deg[j] += 1
+            frozen[j] = multi
+        yield from row(r + 1, 0, [])
+        for j in chosen:
+            col_deg[j] -= 1
+            frozen[j] = False
 
     if n1 >= 1 and n2 >= 1:
-        yield from rows(0)
+        yield from row(0, 0, [])
 
 
 @lru_cache(maxsize=None)
@@ -547,17 +541,17 @@ def _scan(obj: _Objective, total: int, budget: int):
     """The least cost among the first `budget` candidates of a stream of
     `total`, and the lexicographically smallest candidate attaining it.
 
-    A complete stream longer than one block is pruned: a prefix is refused
-    when its bound cannot beat the best candidate held.  The exact kinds'
-    candidates are unmerged and met in stream order, so an equal bound
-    prunes them.  Merged candidates are not in stream order: an equal bound
-    prunes only when `may_precede` shows that every candidate below sorts
-    after the best tuple, and ties go to the smallest tuple as in `_least`.
-    Any other stream is scored in blocks of BLOCK.
+    A stream that fits the budget is pruned: a prefix is refused when its
+    bound cannot beat the best candidate held.  The exact kinds' candidates
+    are unmerged and met in stream order, so an equal bound prunes them.
+    Merged candidates are not in stream order: an equal bound prunes only
+    when `may_precede` shows that every candidate below sorts after the best
+    tuple, and ties go to the smallest tuple as in `_least`.  A cut stream is
+    scored in blocks of BLOCK.
     """
     best, best_pairs = math.inf, None
     n2 = obj.n2
-    if BLOCK < total <= budget:
+    if total <= budget:
         extend, undo = obj.prefix()
         exact = obj.exact
         path: list[int] = []

@@ -106,12 +106,14 @@ Violation = (
 
 
 class ValidationError(TmlError):
-    """Raised by the space builders; carries every violated constraint."""
+    """Raised by the space builders; carries every violated constraint.  A
+    table read from a file names the file first."""
 
-    def __init__(self, violations):
+    def __init__(self, violations, path=None):
         self.violations = list(violations)
         lines = "; ".join(v.describe() for v in self.violations)
-        super().__init__(f"{len(self.violations)} constraint(s) violated: {lines}")
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}{len(self.violations)} constraint(s) violated: {lines}")
 
 
 # ---------------------------------------------------------------------------

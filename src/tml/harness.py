@@ -559,14 +559,15 @@ def run_sequence_experiment(
             out["bb"] = (DistanceKind.BB_GH, bb_gh, element, limit)
         return out
 
-    # Every scan of the sequence must fit the budget before the first one runs.
+    # Every scan of the sequence must fit the budget before the first one
+    # runs, so each then runs to completion.
     plans = [scans(element) for element in elements]
     for plan in plans:
         for kind, _, a, b in plan.values():
             _fits(kind, a, b, budget)
     measured = [
         (j, element, structure_report(element, delta=0.0),
-         {key: _complete(*scan, budget) for key, scan in plan.items()})
+         {key: driver(a, b, budget=budget) for key, (_, driver, a, b) in plan.items()})
         for j, (element, plan) in enumerate(zip(elements, plans))
     ]
 

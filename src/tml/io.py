@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, ValidationError
 from .spaces import (
     FiniteMetricSpace,
     TimedMetricSpace,
@@ -57,7 +57,8 @@ def _as_real(value, where: str) -> float:
 
 def read_space(path) -> AnySpace:
     """Load a space file; returns a timed space when 'tau' is present.  Every
-    ParseError and SchemaError it raises starts with the path."""
+    ParseError, SchemaError and ValidationError it raises starts with the
+    path."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
@@ -68,6 +69,8 @@ def read_space(path) -> AnySpace:
         return _space_of(data)
     except (SchemaError, ValueError) as err:  # the builders refuse a table by ValueError
         raise SchemaError(f"{path}: {err}") from None
+    except ValidationError as err:
+        raise ValidationError(err.violations, path) from None
 
 
 def _space_of(data) -> AnySpace:

@@ -54,7 +54,15 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     )
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 1
-    assert "error:" in err
+    assert err.startswith(f"error: {bad}: "), err
+    # A time function that breaks the Lipschitz bound names the file too.
+    bad.write_text(
+        '{"name": "x", "labels": ["a", "b"], "d": [[0, 1], [1, 0]], "tau": [0, 5]}'
+    )
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert err.startswith(f"error: {bad}: "), err
+    assert "|tau[0] - tau[1]| > d[0][1] by 4.0" in err, err
     # Tables the validator refuses before checking the metric axioms: JSON
     # NaN/Infinity entries, repeated labels, no points.
     square = '"d": [[0, 1], [1, 0]]'

@@ -4,6 +4,7 @@ import pytest
 import tml
 from tml.errors import (
     CoordinateMismatch,
+    EmptyCloud,
     EmptySubset,
     IncompleteEnumeration,
     IndexOutOfRange,
@@ -76,6 +77,16 @@ def test_sup_distance_shape_checks(path3):
     c4 = tml.frechet_embed(path3, tml.Enumeration(seq=(0, 1, 2, 0)))
     with pytest.raises(CoordinateMismatch):
         tml.sup_distances(c3, c4)
+
+
+def test_empty_clouds_are_refused():
+    empty = tml.LinftyCloud(coords=np.zeros((0, 2)))
+    point = tml.LinftyCloud(coords=np.zeros((1, 2)))
+    for a, b in ((empty, point), (point, empty), (empty, empty)):
+        with pytest.raises(EmptyCloud):
+            tml.sup_distances(a, b)
+        with pytest.raises(EmptyCloud):
+            tml.hausdorff_sup(a, b)
 
 
 def test_hausdorff_sup_by_hand():

@@ -71,6 +71,36 @@ def test_minimal_enumeration_is_sorted_and_unique():
         assert tml.engine.pairs_are_minimal(pairs)
 
 
+def test_enumerator_hooks_refuse_subtrees_and_pair_up():
+    # An admit that refuses some pairs removes exactly the tuples holding
+    # them, in stream order; each admitted pair is retracted once, last in
+    # first out, and the pairs admitted and not yet retracted at a yield are
+    # the yielded tuple.
+    for n1, n2 in itertools.product(range(1, 5), repeat=2):
+        cells = list(itertools.product(range(n1), range(n2)))
+        for refused in (set(), {cells[0]}, {cells[-1]}, set(cells[1::3]), set(cells[::2])):
+            held, calls = [], {"admit": 0, "retract": 0}
+
+            def admit(r, c):
+                if (r, c) in refused:
+                    return False
+                calls["admit"] += 1
+                held.append((r, c))
+                return True
+
+            def retract():
+                calls["retract"] += 1
+                held.pop()
+
+            walked = []
+            for pairs in _minimal_pair_tuples(n1, n2, admit, retract):
+                assert tuple(held) == pairs
+                walked.append(pairs)
+            expected = [p for p in _minimal_pair_tuples(n1, n2) if refused.isdisjoint(p)]
+            assert walked == expected, (n1, n2, refused)
+            assert calls["admit"] == calls["retract"] and not held
+
+
 def test_correspondence_count_is_the_stream_length():
     for n1, n2 in itertools.product(range(6), repeat=2):
         assert tml.correspondence_count(n1, n2) == len(list(_minimal_pair_tuples(n1, n2))), (n1, n2)

@@ -5,12 +5,15 @@ swapping the arguments and relabelling the points leave ``upper`` unchanged
 bit for bit, a space is at distance zero from itself, and the certificate
 re-evaluates to ``upper``.  The engine's batched cost of a block of relations
 equals the plain per-correspondence function of each relation.  A complete
-scan of a stream longer than one block (the pruned scan) returns what a plain
-loop over the stream returns, and the glued objectives equal the distortion
-bit for bit, which is how the engine scores them.  The prefix bounds the scan
+scan (the pruned scan) returns what a plain loop over the stream returns,
+and scores fewer candidates than the stream holds even within one block; the
+glued objectives equal the distortion bit for bit, which is how the engine
+scores them.  The prefix bounds the scan
 prunes on never decrease as pairs are added, never exceed the cost of a
 candidate that holds the prefix, and come back when a pair is undone.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -178,7 +181,7 @@ def plain_scan(kind, a, b, anchor):
     return best, best_pairs, explored, zeros
 
 
-# Shapes whose stream spans two or more blocks of the block scan.
+# Shapes whose stream spans two or more blocks of the cut scan.
 MULTI_BLOCK = ((4, 5), (5, 4), (5, 5))
 
 
@@ -190,6 +193,12 @@ MULTI_BLOCK = ((4, 5), (5, 4), (5, 5))
 # second.
 @example(shape=(4, 5), seed=11, graphs=True, zeros=(2, 1))
 @example(shape=(5, 4), seed=86, graphs=True, zeros=(2, 2))
+# Streams of one block, down to the single candidate of 1 x 1.
+@example(shape=(1, 1), seed=5, graphs=True, zeros=(1, 1))
+@example(shape=(1, 4), seed=7, graphs=True, zeros=(1, 2))
+@example(shape=(3, 3), seed=11, graphs=True, zeros=(2, 1))
+@example(shape=(4, 4), seed=86, graphs=True, zeros=(2, 2))
+@example(shape=(4, 4), seed=3, graphs=False, zeros=(1, 2))
 @given(
     shape=st.sampled_from(MULTI_BLOCK),
     seed=st.integers(0, 2**16),
@@ -209,7 +218,6 @@ def test_complete_scan_equals_the_plain_loop(kind, shape, seed, graphs, zeros):
     else:
         anchor = (seed % n1, seed // n1 % n2)
     best, best_pairs, explored, zero_sets = plain_scan(kind, a, b, anchor)
-    assert explored > tml.engine.BLOCK
 
     got = call(kind, a, b, anchor)
     assert got.upper == best
@@ -227,6 +235,28 @@ def test_complete_scan_equals_the_plain_loop(kind, shape, seed, graphs, zeros):
         assert got.zero_pairs == tuple((p, q) for p, q in best_pairs if p in z1 and q in z2)
     else:
         assert got.zero_pairs is None
+
+
+def test_complete_one_block_scan_is_pruned():
+    # 184 candidates at 4 x 4, well within one block: the search still
+    # refuses most of them before they are scored.
+    engine = tml.engine
+    x1 = tml.random_metric_space(7, 4)
+    x2 = tml.random_metric_space(8, 4, model="graph")
+    obj = engine._objective(K.GH, x1, x2)
+    total = tml.stream_length(K.GH, x1, x2)
+    assert total == 184 < engine.BLOCK
+    scored = []
+
+    def costs(block):
+        scored.extend(block)
+        return obj.costs(block)
+
+    value, pairs = engine._scan(dataclasses.replace(obj, costs=costs), total, tml.DEFAULT_BUDGET)
+    assert len(scored) < total
+    exact = tml.gh_distance(x1, x2)
+    assert (value, pairs) == (exact.upper, exact.certificate.pairs)
+    assert exact.explored == total and exact.is_exact
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
