@@ -638,7 +638,7 @@ def distance(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     obj = _objective(kind, a, b, tol, basepoints)
-    total = stream_length(kind, a, b, tol)
+    total = correspondence_count(obj.n1, obj.n2) * max(1, len(obj.required))
     value, pairs = _scan(obj, total, budget)
     complete = total <= budget
     return _result(obj, value, pairs, min(total, budget), complete, not complete)

@@ -39,6 +39,7 @@ from .spaces import (
 AnySpace = Union[FiniteMetricSpace, TimedMetricSpace]
 
 _ALLOWED_KEYS = {"name", "labels", "d", "tau", "zero_set"}
+_REAL_TYPES = {int, float}  # JSON numbers; bool is neither
 
 
 def _require(condition: bool, message: str) -> None:
@@ -53,6 +54,25 @@ def _as_real(value, where: str) -> float:
         return float(value)
     except OverflowError:
         raise SchemaError(f"{where}: integer too large for a float") from None
+
+
+def _table_of(rows: list, n: int) -> np.ndarray:
+    """The n-by-n table a list of n rows spells out.  When every row is a
+    list of n ints and floats, one numpy call converts it; otherwise, or when
+    an integer is too large for a float, the rows are walked to name the first
+    bad row or entry."""
+    if all(isinstance(row, list) and len(row) == n and _REAL_TYPES.issuperset(map(type, row))
+           for row in rows):
+        try:
+            return np.array(rows, dtype=float).reshape(n, n)
+        except OverflowError:
+            pass
+    table = np.zeros((n, n))
+    for i, row in enumerate(rows):
+        _require(isinstance(row, list) and len(row) == n, f"'d' row {i} must have {n} entries")
+        for j, value in enumerate(row):
+            table[i, j] = _as_real(value, f"d[{i}][{j}]")
+    return table
 
 
 def read_space(path) -> AnySpace:
@@ -91,12 +111,7 @@ def _space_of(data) -> AnySpace:
 
     rows = data["d"]
     _require(isinstance(rows, list) and len(rows) == n, f"'d' must be a list of {n} rows")
-    table = np.zeros((n, n))
-    for i, row in enumerate(rows):
-        _require(isinstance(row, list) and len(row) == n, f"'d' row {i} must have {n} entries")
-        for j, value in enumerate(row):
-            table[i, j] = _as_real(value, f"d[{i}][{j}]")
-    space = build_metric_space(labels, table)
+    space = build_metric_space(labels, _table_of(rows, n))
 
     if "tau" not in data:
         _require("zero_set" not in data, "'zero_set' requires 'tau'")

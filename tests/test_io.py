@@ -82,6 +82,60 @@ def test_read_rejects_asymmetric_matrix(tmp_path):
     assert any(isinstance(v, Asymmetry) for v in info.value.violations)
 
 
+def write_table(path, d):
+    path.write_text(json.dumps({"name": "x", "labels": [f"p{i}" for i in range(len(d))], "d": d}))
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "expected a number, got True"),
+        ("0.25", "expected a number, got '0.25'"),
+        (10**400, "integer too large for a float"),
+    ],
+    ids=["true", "string", "400-digit-integer"],
+)
+def test_read_names_the_bad_entry_of_a_large_table(tmp_path, value, message):
+    # A row of numbers converts in one call; a bad entry still names itself.
+    d = [[abs(i - j) / 4.0 for j in range(60)] for i in range(60)]
+    d[37][21] = value
+    target = tmp_path / "bad.json"
+    write_table(target, d)
+    with pytest.raises(SchemaError) as info:
+        tml.read_space(target)
+    assert str(info.value) == f"{target}: d[37][21]: {message}"
+
+
+def test_read_names_the_first_bad_row(tmp_path):
+    d = [[float(abs(i - j)) for j in range(5)] for i in range(5)]
+    d[1][3], d[2] = "x", d[2][:4]
+    target = tmp_path / "short.json"
+    write_table(target, d)
+    with pytest.raises(SchemaError) as info:
+        tml.read_space(target)
+    assert str(info.value) == f"{target}: d[1][3]: expected a number, got 'x'"
+    d[1][3] = 2.0
+    write_table(target, d)
+    with pytest.raises(SchemaError) as info:
+        tml.read_space(target)
+    assert str(info.value) == f"{target}: 'd' row 2 must have 5 entries"
+
+
+@pytest.mark.parametrize(
+    "big", [(2**53 + 1, 2**53 + 3, 2**54 - 1), (2**63 + 5, 2**64 - 1, 2**64 + 2**11 + 1)],
+    ids=["above-2**53", "past-int64"],
+)
+def test_read_converts_large_integers_like_float(tmp_path, big):
+    # Above 2**53 a float rounds; the table must hold float(int).  Each
+    # triangle of three such sides holds, as no side is twice another.
+    d = [[0, big[0], big[1]], [big[0], 0, big[2]], [big[1], big[2], 0]]
+    target = tmp_path / "big.json"
+    write_table(target, d)
+    loaded = tml.read_space(target)
+    assert loaded.d.tolist() == [[float(v) for v in row] for row in d]
+    assert float(big[0]) != big[0]
+
+
 def test_zero_set_must_match_time_zeros(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(

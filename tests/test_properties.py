@@ -10,7 +10,9 @@ and scores fewer candidates than the stream holds even within one block; the
 glued objectives equal the distortion bit for bit, which is how the engine
 scores them.  The prefix bounds the scan
 prunes on never decrease as pairs are added, never exceed the cost of a
-candidate that holds the prefix, and come back when a pair is undone.
+candidate that holds the prefix, and come back when a pair is undone.  The
+table validators return what the plain pair and triple loops return, on
+tables with ties, asymmetric, negative and non-finite entries.
 """
 
 import dataclasses
@@ -21,6 +23,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tml
+from tml.errors import (
+    Asymmetry,
+    IndistinctPoints,
+    LipschitzViolation,
+    NegativeEntry,
+    NegativeTime,
+    NonzeroDiagonal,
+    TriangleViolation,
+)
 
 from conftest import DRIVERS
 
@@ -343,3 +354,132 @@ def test_prefix_bounds_never_decrease_and_never_pass_a_cost(
             undo()
             assert extend(ids[k]) == bounds[k]
             undo()
+
+
+# ---------------------------------------------------------------------------
+# The validators against the plain loops they replaced.
+
+
+def loop_metric_violations(d, tol):
+    """Every metric violation of a table, found one pair and one triple at a
+    time: the diagonal, the pairs i < j, then the triples in (i, k, j) order."""
+    n = d.shape[0]
+    found = []
+    for i in range(n):
+        if d[i, i] != 0.0:
+            found.append(NonzeroDiagonal(i, float(d[i, i])))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i, j] != d[j, i]:
+                found.append(Asymmetry(i, j, float(d[i, j] - d[j, i])))
+            if d[i, j] < 0.0 or d[j, i] < 0.0:
+                found.append(NegativeEntry(i, j, float(min(d[i, j], d[j, i]))))
+            elif d[i, j] <= tol:
+                found.append(IndistinctPoints(i, j, float(d[i, j])))
+    for i in range(n):
+        for k in range(i + 1, n):
+            for j in range(n):
+                if j == i or j == k:
+                    continue
+                gap = d[i, k] - (d[i, j] + d[j, k])
+                if gap > tol:
+                    found.append(TriangleViolation(i, j, k, float(gap)))
+    return found
+
+
+def loop_time_violations(space, t, tol):
+    """Negative times, then the pairs i < j that break the Lipschitz bound."""
+    found = []
+    for i in range(space.n):
+        if t[i] < 0.0:
+            found.append(NegativeTime(i, float(t[i])))
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            gap = abs(t[i] - t[j]) - space.d[i, j]
+            if gap > tol:
+                found.append(LipschitzViolation(i, j, float(gap)))
+    return found
+
+
+# How a drawn edit sets an entry, from the table d, the entry (i, k), a third
+# point j and tol.  Quarter-integer tables add exactly, so "bound" puts d[i][k]
+# on the triangle bound and "bound+tol" leaves a gap of exactly tol when tol
+# is a quarter too.
+EDITS = {
+    "tol": lambda d, i, j, k, tol: tol,
+    "bound": lambda d, i, j, k, tol: d[i, j] + d[j, k],
+    "bound+tol": lambda d, i, j, k, tol: d[i, j] + d[j, k] + tol,
+    "raised": lambda d, i, j, k, tol: d[i, k] + 1.0,
+    "negative": lambda d, i, j, k, tol: -0.25,
+    "zero": lambda d, i, j, k, tol: 0.0,
+    "minus-zero": lambda d, i, j, k, tol: -0.0,
+    "nan": lambda d, i, j, k, tol: np.nan,
+    "inf": lambda d, i, j, k, tol: np.inf,
+    "-inf": lambda d, i, j, k, tol: -np.inf,
+}
+
+# How a drawn edit sets tau[i], from tau, d, a second point j and tol.
+TIME_EDITS = {
+    "bound": lambda tau, d, i, j, tol: tau[j] + d[i, j],
+    "bound+tol": lambda tau, d, i, j, tol: tau[j] + d[i, j] + tol,
+    "negative": lambda tau, d, i, j, tol: -0.25,
+    "minus-zero": lambda tau, d, i, j, tol: -0.0,
+    "nan": lambda tau, d, i, j, tol: np.nan,
+    "inf": lambda tau, d, i, j, tol: np.inf,
+    "-inf": lambda tau, d, i, j, tol: -np.inf,
+}
+
+
+@st.composite
+def broken_tables(draw):
+    """A table of L1 distances between points of a quarter-integer grid
+    (many triangles are exact ties), edited at a few entries, one side of a
+    pair only when `both` is false; the tolerance; and the distance to point
+    0 as time function, edited at a few points."""
+    n = draw(st.integers(0, 12))
+    tol = draw(st.sampled_from((tml.DEFAULT_TOL, 0.0, 0.25)))
+    pts = np.array(draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=n, max_size=n)))
+    d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2) / 4.0 if n else np.zeros((0, 0))
+    tau = d[0].copy() if n else np.zeros(0)
+    if n:
+        points = st.integers(0, n - 1)
+        for i, j, k, edit, both in draw(st.lists(
+            st.tuples(points, points, points, st.sampled_from(sorted(EDITS)), st.booleans()), max_size=6
+        )):
+            d[i, k] = EDITS[edit](d, i, j, k, tol)
+            if both:
+                d[k, i] = d[i, k]
+        for i, j, edit in draw(st.lists(st.tuples(points, points, st.sampled_from(sorted(TIME_EDITS))), max_size=3)):
+            tau[i] = TIME_EDITS[edit](tau, d, i, j, tol)
+    return d, tol, tau
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in both the loops and numpy
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn=broken_tables())
+# The fewest points with a triangle; a negative entry against NaN, where the
+# loop's min() keeps the side it reads first.
+@example(drawn=(np.array([[0.0, 1.0, 2.5], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]]), 0.25, np.zeros(3)))
+@example(drawn=(np.array([[0.0, -0.25], [np.nan, 0.0]]), tml.DEFAULT_TOL, np.zeros(2)))
+@example(drawn=(np.array([[0.0, np.nan], [-0.25, 0.0]]), tml.DEFAULT_TOL, np.zeros(2)))
+def test_validators_equal_the_plain_loops(drawn):
+    # repr, because a NaN amount does not equal itself.
+    d, tol, tau = drawn
+    assert repr(tml.metric_violations(d, tol)) == repr(loop_metric_violations(d, tol))
+    space = tml.FiniteMetricSpace(labels=tuple(map(str, range(len(d)))), d=d)
+    assert repr(tml.time_violations(space, tau, tol)) == repr(loop_time_violations(space, tau, tol))
+
+
+def test_triangle_check_across_a_row_block_boundary():
+    # One raised edge from the last row of a block into the next block, and
+    # one from the first row of that block to the last point.
+    n = 40
+    step = tml.spaces.TRIANGLE_CELLS // (n * n)
+    assert 1 < step < n - 1
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / 4.0
+    for i, k in ((step - 1, step), (step, n - 1)):
+        d[i, k] = d[k, i] = d[i, k] + 1.0
+    found = tml.metric_violations(d)
+    assert repr(found) == repr(loop_metric_violations(d, tml.DEFAULT_TOL))
+    assert {(v.i, v.k) for v in found} == {(step - 1, step), (step, n - 1)}
+    assert all(isinstance(v, TriangleViolation) for v in found)
