@@ -37,15 +37,24 @@ drivers: one scan and one result assembler serve every kind and
 ``local_search_upper``.  The plain per-correspondence functions stay as the
 independent check of certificates.
 
-Candidates are scored in blocks, one numpy call chain per block, and local
-search scores each step's whole neighbour list at once.  A block is a table
-of pair ids, one row per candidate; rows shorter than the longest repeat
-their first pair.  Every cost is a max over the row's pairs (distortion or
-the profile-gap table rho), and a repeated pair changes no max, so padding
-needs no sentinel and no mask.  Distortion is a running max over row
-positions, so no block x k x k table is built.  Within a block the least
-value goes to the lexicographically smallest tuple that attains it, as in a
-one-at-a-time scan.
+Candidates are scored in blocks, one numpy call chain per block.  A block is
+a table of pair ids, one row per candidate; rows shorter than the longest
+repeat their first pair.  Every cost is a max over the row's pairs
+(distortion or the profile-gap table rho), and a repeated pair changes no
+max, so padding needs no sentinel and no mask.  Distortion is a running max
+over row positions, so no block x k x k table is built.  Within a block the
+least value goes to the lexicographically smallest tuple that attains it, as
+in a one-at-a-time scan.
+
+Local search holds its relation as a sorted array of pair ids and builds each
+step's whole neighbourhood (every add, drop and one-endpoint swap that keeps
+both point sets, both zero sets and the pinned anchor covered) as one padded
+id table, with coverage read off the relation's degree counts.  Each
+neighbour is the relation with at most one id taken out and one put in, so
+its cost is the cost of the relation without that slot, computed once per
+slot, joined with the new id's entries: the same max over the same floats,
+bit for bit.  Ties go to the smallest tuple among the tied rows, each read
+back as the set of its ids.
 
 There is one scan, ``_scan``.  The stream length is counted without
 enumerating (``stream_length``); the scan is complete exactly when it fits
@@ -66,6 +75,7 @@ certificate or ``explored`` count.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -86,7 +96,7 @@ from .spaces import (
     SpaceClass,
     TimedMetricSpace,
     _maxmin,
-    classify,
+    report_class,
     structure_report,
 )
 
@@ -373,10 +383,14 @@ class _Objective:
     with the time gap joined in).
 
     `costs` maps a block (a list) of sorted pair tuples to the array of their
-    per-correspondence costs.  `prefix()` starts an empty prefix of pairs and
-    returns `(extend, undo)`: `extend(p)` adds pair id p and returns a bound
-    at most the cost of every candidate that holds the prefix, never less
-    than the bound before; `undo()` drops the last pair added.
+    per-correspondence costs.  `move_costs(cur, slot, table)` scores one
+    local-search step: row m of the pair id table is the relation `cur`
+    (sorted pair ids) with the id at slot[m] taken out (none at slot
+    len(cur)) and the row's last id put in, padded with repeats of its own
+    ids.  `prefix()` starts an empty prefix of pairs and returns
+    `(extend, undo)`: `extend(p)` adds pair id p and returns a bound at most
+    the cost of every candidate that holds the prefix, never less than the
+    bound before; `undo()` drops the last pair added.
     `required` holds the pair sets merged into each minimal correspondence,
     one candidate per set: none for gh/kappa-gh/tau-h, the basepoint pair for
     pt-gh/bb-gh, every minimal zero-set correspondence for fd-hh.  `floor` is
@@ -387,6 +401,7 @@ class _Objective:
     n1: int
     n2: int
     costs: Callable[[list], np.ndarray]
+    move_costs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     prefix: Callable[[], tuple[Callable[[int], float], Callable[[], None]]]
     required: tuple[tuple[tuple[int, int], ...], ...]
     floor: float
@@ -416,19 +431,25 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
             if not (0 <= p < x.n):
                 raise InvalidBasepoint(f"basepoint {p} outside [0, {x.n})")
         anchor = (int(basepoints[0]), int(basepoints[1]))
-    elif kind is DistanceKind.BB_GH:
+    elif kind in (DistanceKind.BB_GH, DistanceKind.FD_HH):
+        # One structure report per side serves the class check and the
+        # anchor or zero sets.
+        reports = []
         for side, t in ((1, a), (2, b)):
-            if classify(t, tol) is not SpaceClass.BIG_BANG:
+            reports.append(structure_report(t, delta=tol))
+            space_class = report_class(reports[-1], tol)
+            if kind is DistanceKind.BB_GH and space_class is not SpaceClass.BIG_BANG:
                 raise NotBigBang(side)
-        anchor = tuple(structure_report(t, delta=tol).zero_set[0] for t in (a, b))
-    elif kind is DistanceKind.FD_HH:
-        for side, t in ((1, a), (2, b)):
-            if classify(t, tol) is SpaceClass.GENERIC:
+            if kind is DistanceKind.FD_HH and space_class is SpaceClass.GENERIC:
                 raise NotFutureDeveloped(side)
-        z1, z2 = zeros = _zero_sets(a, b, tol)
-        required = tuple(
-            tuple((z1[i], z2[j]) for i, j in zp) for zp in _minimal_pair_tuples(len(z1), len(z2))
-        )
+        z1, z2 = (list(r.zero_set) for r in reports)
+        if kind is DistanceKind.BB_GH:
+            anchor = (z1[0], z2[0])
+        else:
+            zeros = (z1, z2)
+            required = tuple(
+                tuple((z1[i], z2[j]) for i, j in zp) for zp in _minimal_pair_tuples(len(z1), len(z2))
+            )
     elif kind not in (DistanceKind.GH, DistanceKind.KAPPA_GH, DistanceKind.TAU_H):
         raise ValueError(f"unknown distance kind {kind!r}")
     if anchor is not None:
@@ -449,6 +470,15 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
             for j in range(1, ids.shape[1]):
                 np.maximum(table, C[ids[:, j]], out=table)
             return _maxmin(table)
+
+        def move_costs(cur, slot, table):
+            # before[s] is rho joined with the tables of the first s ids of
+            # cur, after[s] with those of the ids past slot s: together, the
+            # rho table of cur without slot s (of all cur at slot k).
+            before = np.maximum.accumulate(np.concatenate((rho[None], C[cur])))
+            after = np.maximum.accumulate(np.concatenate((rho[None], C[cur[:0:-1]])))[::-1]
+            without = np.maximum(before, np.concatenate((after, rho[None])))
+            return _maxmin(np.maximum(without[slot], C[table[:, -1]]))
 
         def prefix():
             tables = [rho]
@@ -475,6 +505,13 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
                 np.maximum(out, DIS[ids[:, j : j + 1], ids].max(axis=1), out=out)
             return out
 
+        def move_costs(cur, slot, table):
+            # without[s] is the distortion of cur without slot s (of all cur
+            # at slot k); a masked entry counts 0, below every entry of DIS.
+            gone = np.eye(len(cur) + 1, len(cur), dtype=bool)
+            without = np.where(gone[:, :, None] | gone[:, None, :], 0.0, DIS[np.ix_(cur, cur)])
+            return np.maximum(without.max(axis=(1, 2))[slot], DIS[table[:, -1:], table].max(axis=1))
+
         def prefix():
             dis = DIS.tolist()
             ids = [p * n2 + q for p, q in common]
@@ -497,6 +534,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         n1=x1.n,
         n2=n2,
         costs=costs,
+        move_costs=move_costs,
         prefix=prefix,
         required=required,
         floor=simple_lower_bounds(kind, a, b),
@@ -505,18 +543,14 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     )
 
 
-def _zero_sets(a, b, tol: float) -> tuple[list[int], list[int]]:
-    """The zero sets of two timed spaces, as fd-hh reads them."""
-    return tuple(list(structure_report(t, delta=tol).zero_set) for t in (a, b))
-
-
 def stream_length(kind: DistanceKind, a, b, tol: float = DEFAULT_TOL) -> int:
     """Candidates a complete scan of `kind` between a and b scores, counted
     without building or enumerating anything: the minimal correspondences,
     each once per minimal zero-set correspondence for fd-hh."""
     total = correspondence_count(_base_of(a).n, _base_of(b).n)
     if kind is DistanceKind.FD_HH:
-        total *= max(1, correspondence_count(*map(len, _zero_sets(a, b, tol))))
+        # The zero set of `structure_report(t, delta=tol)`: tau <= tol.
+        total *= max(1, correspondence_count(*(int((t.tau <= tol).sum()) for t in (a, b))))
     return total
 
 
@@ -635,6 +669,8 @@ def distance(
     candidate stream with a deterministic lexicographic tie-break, counting
     evaluations against the budget.  `tol` is the classification tolerance of
     bb-gh and fd-hh; `basepoints` is the pt-gh basepoint pair."""
+    if not isinstance(budget, numbers.Integral):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     obj = _objective(kind, a, b, tol, basepoints)
@@ -734,15 +770,50 @@ def reevaluate(result: DistanceResult, a, b) -> float:
 # Heuristic upper bounds by local search.
 
 
-def _covers(pairs: set, n1, n2, zeros) -> bool:
-    """Full projections onto both point sets and, for fd-hh, onto both zero sets."""
-    if {a for a, _ in pairs} != set(range(n1)) or {b for _, b in pairs} != set(range(n2)):
-        return False
-    if zeros is None:
-        return True
-    z1, z2 = set(zeros[0]), set(zeros[1])
-    inside = [(a, b) for a, b in pairs if a in z1 and b in z2]
-    return {a for a, _ in inside} == z1 and {b for _, b in inside} == z2
+def _neighbours(cur: np.ndarray, n1: int, n2: int, pinned: int, z1: np.ndarray,
+                z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every relation one local move away from the covering relation `cur`
+    (its sorted pair ids): add a pair, drop a pair, or move one endpoint of a
+    pair other than the pinned pair id, keeping both point sets and both zero
+    sets (masks z1, z2) covered.
+
+    Returns `(slot, table)`.  Row m of the table is `cur` with the id at
+    slot[m] set to the row's last id: an add appends it (slot len(cur)), a
+    swap puts it in place of the id it moves, and a drop overwrites the
+    dropped id with another id of `cur`.
+    """
+    k = len(cur)
+    r, c = np.divmod(cur, n2)
+    held = np.zeros(n1 * n2, dtype=bool)
+    held[cur] = True
+    inside = z1[r] & z2[c]
+    # Whether point r (c) stays covered, and stays covered inside the zero
+    # sets, once the pair at each slot is taken away.
+    row_kept = np.bincount(r, minlength=n1)[r] >= 2
+    col_kept = np.bincount(c, minlength=n2)[c] >= 2
+    zrow_kept = ~inside | (np.bincount(r[inside], minlength=n1)[r] >= 2)
+    zcol_kept = ~inside | (np.bincount(c[inside], minlength=n2)[c] >= 2)
+    movable = cur != pinned
+
+    drops = np.flatnonzero(movable & row_kept & col_kept & zrow_kept & zcol_kept)
+    # A swap along row r re-covers r, and re-covers it inside the zero sets
+    # when the new column is a zero point; likewise along column c.
+    along_row = r[:, None] * n2 + np.arange(n2)
+    rs, rq = np.nonzero((movable & col_kept & zcol_kept)[:, None] & ~held[along_row]
+                        & (zrow_kept[:, None] | z2))
+    along_col = np.arange(n1) * n2 + c[:, None]
+    cs, cq = np.nonzero((movable & row_kept & zrow_kept)[:, None] & ~held[along_col]
+                        & (zcol_kept[:, None] | z1))
+    adds = np.flatnonzero(~held)
+    # An add leaves every slot alone: slot k is the appended column.
+    slot = np.concatenate((np.full(len(adds), k), drops, rs, cs))
+    val = np.concatenate((adds, np.where(drops == 0, cur[-1], cur[0]),
+                          along_row[rs, rq], along_col[cs, cq]))
+    table = np.empty((len(slot), k + 1), dtype=np.intp)
+    table[:, :k] = cur
+    table[:, k] = val
+    table[np.arange(len(slot)), slot] = val
+    return slot, table
 
 
 def local_search_upper(
@@ -757,13 +828,22 @@ def local_search_upper(
 
     Starts from the modular diagonal pairing (the identity when the spaces
     share a size) plus seeded random restarts; moves add a pair, drop a
-    droppable pair, or swap one endpoint.  Deterministic for a given seed.
+    droppable pair, or swap one endpoint.  Each step scores every neighbour
+    at once and moves to the lexicographically smallest relation of least
+    cost, while that cost improves.  Deterministic for a given seed.
     Inputs are checked as the exact driver of the same kind checks them;
     `basepoints` is the pt-gh basepoint pair.
     """
+    for name, value in (("seed", seed), ("iterations", iterations)):
+        if not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     obj = _objective(kind, a, b, basepoints=basepoints)
     n1, n2, zeros = obj.n1, obj.n2, obj.zeros
     pinned = {obj.anchor} if obj.anchor is not None else set()
+    pinned_id = -1 if obj.anchor is None else obj.anchor[0] * n2 + obj.anchor[1]
+    in_z1, in_z2 = np.zeros(n1, dtype=bool), np.zeros(n2, dtype=bool)
+    if zeros is not None:
+        in_z1[zeros[0]] = in_z2[zeros[1]] = True
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), n1, n2]))
 
     def start(pairs):
@@ -777,23 +857,6 @@ def local_search_upper(
             pairs |= {(z1[0], q) for q in set(z2) - {q for _, q in inside}}
         return pairs
 
-    universe = [(i, j) for i in range(n1) for j in range(n2)]
-
-    def neighbors(pairs: set):
-        movable = sorted(pairs - pinned)
-        for q in universe:
-            if q not in pairs:
-                yield pairs | {q}
-        for p in movable:
-            if _covers(pairs - {p}, n1, n2, zeros):
-                yield pairs - {p}
-        for p in movable:
-            for q in universe:
-                if q not in pairs and (q[0] == p[0] or q[1] == p[1]):
-                    cand = (pairs - {p}) | {q}
-                    if _covers(cand, n1, n2, zeros):
-                        yield cand
-
     best_value = math.inf
     best_pairs = None
     explored = 0
@@ -805,16 +868,20 @@ def local_search_upper(
         key = tuple(sorted(current))
         value = obj.costs([key])[0]
         explored += 1
+        cur = np.array([p * n2 + q for p, q in key], dtype=np.intp)
         for _ in range(iterations):
-            block = [tuple(sorted(cand)) for cand in neighbors(current)]
-            if not block:
+            slot, table = _neighbours(cur, n1, n2, pinned_id, in_z1, in_z2)
+            if not len(table):
                 break
-            explored += len(block)
-            low, pairs = _least(block, obj.costs(block))
+            explored += len(table)
+            values = obj.move_costs(cur, slot, table)
+            low = values.min()
             if low >= value:
                 break
-            key, value = pairs, low
-            current = set(key)
+            # Rows differ in length: a tied row's set of ids is its relation.
+            ids = min(tuple(sorted(set(row))) for row in table[values == low].tolist())
+            cur, value = np.array(ids, dtype=np.intp), low
+            key = tuple(divmod(p, n2) for p in ids)
         if value < best_value or (value == best_value and key < best_pairs):
             best_value, best_pairs = value, key
 

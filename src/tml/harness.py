@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,6 +77,12 @@ class CampaignConfig:
     budget: int = DEFAULT_BUDGET
 
 
+def _fields_of(row) -> dict:
+    """A report row's fields in declaration order.  Every field is a scalar,
+    a string or None, so unlike `dataclasses.asdict` nothing is copied."""
+    return {f.name: getattr(row, f.name) for f in fields(row)}
+
+
 @dataclass(frozen=True)
 class ReportRow:
     """One checked (or observed) inequality, re-runnable from its fields."""
@@ -96,7 +102,7 @@ class ReportRow:
     details: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return _fields_of(self)
 
 
 def _class_name(space) -> str:
@@ -520,7 +526,7 @@ class SequenceRow:
     details: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return _fields_of(self)
 
 
 _SEQUENCE_KINDS = (DistanceKind.GH, DistanceKind.TAU_H, DistanceKind.BB_GH)

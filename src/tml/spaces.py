@@ -256,7 +256,11 @@ def classify(timed: TimedMetricSpace, tol: float = DEFAULT_TOL) -> SpaceClass:
     A big bang space is in particular future developed; the stronger class
     is returned.
     """
-    report = structure_report(timed, delta=tol)
+    return report_class(structure_report(timed, delta=tol), tol)
+
+
+def report_class(report: StructureReport, tol: float = DEFAULT_TOL) -> SpaceClass:
+    """The class `classify` reads off a structure report taken at delta = tol."""
     if report.bb_defect <= tol and len(report.zero_set) == 1:
         return SpaceClass.BIG_BANG
     if report.zero_set and report.fd_defect <= tol:

@@ -499,6 +499,45 @@ def test_local_search_checks_inputs_like_the_exact_drivers(path3):
             tml.pointed_gh(path3, p1, path3, p2)
 
 
+@pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 1.5), ("iterations", -3),
+                                         ("iterations", 2.0)])
+def test_local_search_rejects_bad_counts(name, value, path3):
+    # Refused by name before any search runs, fractional values included.
+    args = {"seed": 0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {value}$"):
+        tml.local_search_upper(tml.DistanceKind.GH, path3, path3, **args)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_distance_rejects_a_fractional_budget(n):
+    # Refused whether or not the stream fits the budget: 1 x 1 has one
+    # candidate, 5 x 5 has 2,945.
+    x = tml.random_metric_space(3, n)
+    with pytest.raises(ValueError, match="^budget must be an integer, got 1.5$"):
+        tml.distance(tml.DistanceKind.GH, x, x, budget=1.5)
+
+
+@pytest.mark.parametrize("kind", [tml.DistanceKind.BB_GH, tml.DistanceKind.FD_HH],
+                         ids=lambda k: k.value)
+def test_one_structure_report_per_side(kind, monkeypatch, worked_bb_pair):
+    # The class check and the anchor (bb-gh) or zero sets (fd-hh) share one
+    # report per side, and counting the stream, as the harness does before
+    # every exact scan, takes none.
+    calls = []
+    real = tml.spaces.structure_report
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tml.spaces, "structure_report", counted)
+    monkeypatch.setattr(tml.engine, "structure_report", counted)
+    t1, t2 = worked_bb_pair
+    assert tml.stream_length(kind, t1, t2) == 1
+    DRIVERS[kind](t1, t2, None)
+    assert calls == [t1, t2]
+
+
 def test_local_search_deterministic(path3):
     x2 = tml.random_metric_space(51, 4)
     a = tml.local_search_upper(tml.DistanceKind.GH, path3, x2, seed=9)

@@ -10,8 +10,9 @@ and scores fewer candidates than the stream holds even within one block; the
 glued objectives equal the distortion bit for bit, which is how the engine
 scores them.  The prefix bounds the scan
 prunes on never decrease as pairs are added, never exceed the cost of a
-candidate that holds the prefix, and come back when a pair is undone.  The
-table validators return what the plain pair and triple loops return, on
+candidate that holds the prefix, and come back when a pair is undone.  Local
+search returns what the set-based descent returns, neighbour tables and tie
+breaks included.  The table validators return what the plain pair and triple loops return, on
 tables with ties, asymmetric, negative and non-finite entries.
 """
 
@@ -354,6 +355,114 @@ def test_prefix_bounds_never_decrease_and_never_pass_a_cost(
             undo()
             assert extend(ids[k]) == bounds[k]
             undo()
+
+
+# ---------------------------------------------------------------------------
+# Local search against the set-based descent it replaced.
+
+
+def covers(pairs, n1, n2, zeros):
+    """Full projections onto both point sets and, for fd-hh, onto both zero sets."""
+    if {a for a, _ in pairs} != set(range(n1)) or {b for _, b in pairs} != set(range(n2)):
+        return False
+    if zeros is None:
+        return True
+    z1, z2 = set(zeros[0]), set(zeros[1])
+    inside = [(a, b) for a, b in pairs if a in z1 and b in z2]
+    return {a for a, _ in inside} == z1 and {b for _, b in inside} == z2
+
+
+def set_local_search(kind, a, b, seed, iterations, basepoints):
+    """The descent with every neighbour built as a set, checked for coverage
+    one at a time and sorted into a tuple; each step scores the tuples with
+    the objective's batched cost."""
+    engine = tml.engine
+    obj = engine._objective(kind, a, b, basepoints=basepoints)
+    n1, n2, zeros = obj.n1, obj.n2, obj.zeros
+    pinned = {obj.anchor} if obj.anchor is not None else set()
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), n1, n2]))
+
+    def start(pairs):
+        pairs |= pinned
+        if zeros is not None:
+            z1, z2 = zeros
+            inside = [(p, q) for p, q in pairs if p in z1 and q in z2]
+            pairs |= {(p, z2[0]) for p in set(z1) - {p for p, _ in inside}}
+            pairs |= {(z1[0], q) for q in set(z2) - {q for _, q in inside}}
+        return pairs
+
+    universe = [(i, j) for i in range(n1) for j in range(n2)]
+
+    def neighbors(pairs):
+        movable = sorted(pairs - pinned)
+        for q in universe:
+            if q not in pairs:
+                yield pairs | {q}
+        for p in movable:
+            if covers(pairs - {p}, n1, n2, zeros):
+                yield pairs - {p}
+        for p in movable:
+            for q in universe:
+                if q not in pairs and (q[0] == p[0] or q[1] == p[1]):
+                    cand = (pairs - {p}) | {q}
+                    if covers(cand, n1, n2, zeros):
+                        yield cand
+
+    best_value, best_pairs, explored = np.inf, None, 0
+    starts = [start({(i, i % n2) for i in range(n1)} | {(j % n1, j) for j in range(n2)})]
+    for _ in range(3):
+        rows = {(i, int(rng.integers(n2))) for i in range(n1)}
+        starts.append(start(rows | {(int(rng.integers(n1)), j) for j in range(n2)}))
+    for current in starts:
+        key = tuple(sorted(current))
+        value = obj.costs([key])[0]
+        explored += 1
+        for _ in range(iterations):
+            block = [tuple(sorted(cand)) for cand in neighbors(current)]
+            if not block:
+                break
+            explored += len(block)
+            low, pairs = engine._least(block, obj.costs(block))
+            if low >= value:
+                break
+            key, value = pairs, low
+            current = set(key)
+        if value < best_value or (value == best_value and key < best_pairs):
+            best_value, best_pairs = value, key
+    return engine._result(obj, best_value, best_pairs, explored, complete=False)
+
+
+@pytest.mark.parametrize("kind", list(K), ids=lambda k: k.value)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    n1=st.integers(1, 6),
+    n2=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    graphs=st.booleans(),
+    zeros=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    iterations=st.sampled_from((0, 1, 2, 200)),
+    data=st.data(),
+)
+# One row or one column, and three-point zero sets on both sides.
+@example(n1=1, n2=5, seed=4, graphs=True, zeros=(1, 2), iterations=200, data=None)
+@example(n1=6, n2=1, seed=9, graphs=False, zeros=(3, 1), iterations=200, data=None)
+@example(n1=5, n2=6, seed=21, graphs=True, zeros=(3, 3), iterations=200, data=None)
+def test_local_search_equals_the_set_descent(kind, n1, n2, seed, graphs, zeros, iterations, data):
+    # Graph metrics have integer distances, so tied neighbours are common.
+    x1 = tml.random_metric_space(seed, n1, model="graph" if graphs else "euclidean")
+    x2 = tml.random_metric_space(seed + 1, n2, model="graph")
+    model = {K.BB_GH: "cone", K.FD_HH: "set-cone"}.get(kind, "mcshane")
+    a = tml.random_time_function(seed, x1, model=model, subset_size=zeros[0])
+    b = tml.random_time_function(seed + 1, x2, model=model, subset_size=zeros[1])
+    x, y = (a, b) if kind in tml.TIMED_KINDS else (x1, x2)
+    if data is None:
+        anchor = (seed % n1, seed % n2)
+    else:
+        anchor = (data.draw(st.integers(0, n1 - 1)), data.draw(st.integers(0, n2 - 1)))
+    basepoints = anchor if kind is K.PT_GH else None
+    got = tml.local_search_upper(kind, x, y, seed=seed, iterations=iterations, basepoints=basepoints)
+    want = set_local_search(kind, x, y, seed, iterations, basepoints)
+    assert repr(got) == repr(want)
 
 
 # ---------------------------------------------------------------------------
