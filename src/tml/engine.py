@@ -37,14 +37,15 @@ drivers: one scan and one result assembler serve every kind and
 ``local_search_upper``.  The plain per-correspondence functions stay as the
 independent check of certificates.
 
-Candidates are scored in blocks, one numpy call chain per block.  A block is
-a table of pair ids, one row per candidate; rows shorter than the longest
-repeat their first pair.  Every cost is a max over the row's pairs
-(distortion or the profile-gap table rho), and a repeated pair changes no
-max, so padding needs no sentinel and no mask.  Distortion is a running max
-over row positions, so no block x k x k table is built.  Within a block the
-least value goes to the lexicographically smallest tuple that attains it, as
-in a one-at-a-time scan.
+A scan cut by its budget, and a complete fd-hh scan with several minimal
+zero-set correspondences, score candidates in blocks, one numpy call chain
+per block.  A block is a table of pair ids, one row per candidate; rows
+shorter than the longest repeat their first pair.  Every cost is a max over
+the row's pairs (distortion or the profile-gap table rho), and a repeated
+pair changes no max, so padding needs no sentinel and no mask.  Distortion
+is a running max over row positions, so no block x k x k table is built.
+Within a block the least value goes to the lexicographically smallest tuple
+that attains it, as in a one-at-a-time scan.
 
 Local search holds its relation as a sorted array of pair ids and builds each
 step's whole neighbourhood (every add, drop and one-endpoint swap that keeps
@@ -60,16 +61,20 @@ There is one scan, ``_scan``.  The stream length is counted without
 enumerating (``stream_length``); the scan is complete exactly when it fits
 the budget, and ``explored`` is the smaller of the two.  Completeness alone
 picks the walk.  A cut scan scores the stream's first ``budget`` candidates
-in blocks of ``BLOCK``.  A complete scan is pruned: each block holds one
-minimal correspondence's merged candidates, and the enumerator refuses a
+in blocks of ``BLOCK``.  A complete scan is pruned: the enumerator refuses a
 prefix whose bound, at most the cost of every candidate below it, cannot
 beat the best candidate held.  The bound never decreases as pairs are
 added: the distortion of the prefix joined with the pairs every required set
 contains, times the kind's scale, or the Hausdorff value of the prefix's rho
-table.  Unmerged candidates come in stream order, so an equal bound prunes
-them; merged candidates do not, so an equal bound prunes only a subtree
-whose every candidate sorts after the best tuple.  Pruning changes no value,
-certificate or ``explored`` count.
+table.  A rho prefix bounds all of a node's children in one row at once.
+When a kind requires at most one pair set (every kind but fd-hh with several
+minimal zero-set correspondences), a leaf's prefix holds every pair of its
+one candidate, so the bound of its last pair is that candidate's cost and
+the leaf is scored by it.  Otherwise each leaf's merged candidates are
+scored as one block.  Unmerged candidates come in stream order, so an equal
+bound prunes them; merged candidates do not, so an equal bound prunes only
+a subtree whose every candidate sorts after the best tuple.  Pruning changes
+no value, certificate or ``explored`` count.
 """
 
 from __future__ import annotations
@@ -168,7 +173,10 @@ def _minimal_pair_tuples(n1: int, n2: int, admit=None, retract=None):
 
     A scan prunes through `admit(r, c)`: called before pair (r, c) joins the
     prefix, it may refuse the whole subtree below; `retract()` follows every
-    admitted pair when the recursion backs out of it.
+    admitted pair when the recursion backs out of it.  A tuple is yielded
+    right after its last pair is admitted: the last row yields only from a
+    loop that admitted nothing, because backing out of a column it took
+    leaves that column uncovered or the row empty.
     """
     col_deg = [0] * n2
     frozen = [False] * n2
@@ -390,7 +398,12 @@ class _Objective:
     ids.  `prefix()` starts an empty prefix of pairs and returns
     `(extend, undo)`: `extend(p)` adds pair id p and returns a bound at most
     the cost of every candidate that holds the prefix, never less than the
-    bound before; `undo()` drops the last pair added.
+    bound before; `undo()` drops the last pair added.  The bound of a prefix
+    that holds every pair of a candidate (with the required pairs of its one
+    required set) is that candidate's cost.  The rho prefix builds a node's
+    children in batches: the first `extend(p)` below a prefix bounds ids p
+    to the end of p's row in one numpy call, and later siblings in that
+    range read their table and bound from it.
     `required` holds the pair sets merged into each minimal correspondence,
     one candidate per set: none for gh/kappa-gh/tau-h, the basepoint pair for
     pt-gh/bb-gh, every minimal zero-set correspondence for fd-hh.  `floor` is
@@ -481,13 +494,28 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
             return _maxmin(np.maximum(without[slot], C[table[:, -1]]))
 
         def prefix():
-            tables = [rho]
+            # tables[k] is the rho table of the first k pairs; kids[k] holds
+            # children of that prefix, built at once for the ids from the
+            # first asked for to the end of its row: (first id, their
+            # tables, their bounds).  A walk asks for a prefix's children in
+            # increasing order, so one batch serves a row of siblings.
+            tables, kids = [rho], [None]
 
             def extend(p):
-                tables.append(np.maximum(tables[-1], C[p]))
-                return _maxmin(tables[-1])
+                batch = kids[-1]
+                if batch is None or not batch[0] <= p < batch[0] + len(batch[2]):
+                    stack = np.maximum(tables[-1], C[p : (p // n2 + 1) * n2])
+                    batch = kids[-1] = (p, stack, _maxmin(stack).tolist())
+                first, stack, bounds = batch
+                tables.append(stack[p - first])
+                kids.append(None)
+                return bounds[p - first]
 
-            return extend, tables.pop
+            def undo():
+                tables.pop()
+                kids.pop()
+
+            return extend, undo
     else:
         # DIS[id, id'] is the distortion contribution of two pairs times the
         # kind's scale: gh is half the distortion, and each glued cost equals
@@ -576,12 +604,15 @@ def _scan(obj: _Objective, total: int, budget: int):
     `total`, and the lexicographically smallest candidate attaining it.
 
     A stream that fits the budget is pruned: a prefix is refused when its
-    bound cannot beat the best candidate held.  The exact kinds' candidates
-    are unmerged and met in stream order, so an equal bound prunes them.
-    Merged candidates are not in stream order: an equal bound prunes only
-    when `may_precede` shows that every candidate below sorts after the best
-    tuple, and ties go to the smallest tuple as in `_least`.  A cut stream is
-    scored in blocks of BLOCK.
+    bound cannot beat the best candidate held.  With at most one required
+    pair set, a leaf is scored by the bound of its last pair, which is its
+    one candidate's cost; with several, its merged candidates are scored as
+    one block.  The exact kinds' candidates are unmerged and met in stream
+    order, so an equal bound prunes them.  Merged candidates are not in
+    stream order: an equal bound prunes only when `may_precede` shows that
+    every candidate below sorts after the best tuple, and ties go to the
+    smallest tuple as in `_least`.  A cut stream is scored in blocks of
+    BLOCK.
     """
     best, best_pairs = math.inf, None
     n2 = obj.n2
@@ -589,6 +620,7 @@ def _scan(obj: _Objective, total: int, budget: int):
         extend, undo = obj.prefix()
         exact = obj.exact
         path: list[int] = []
+        last = math.inf  # the bound of the pair admitted last
         extras = [[a * n2 + b for a, b in extra] for extra in obj.required]
 
         def may_precede(p):
@@ -605,25 +637,35 @@ def _scan(obj: _Objective, total: int, budget: int):
             return False
 
         def admit(r, c):
+            nonlocal last
             p = r * n2 + c
             bound = extend(p)
             if bound > best or (bound == best and (exact or not may_precede(p))):
                 undo()
                 return False
             path.append(p)
+            last = bound
             return True
 
         def retract():
             undo()
             path.pop()
 
-        blocks = (_merged(obj, pairs) for pairs in _minimal_pair_tuples(obj.n1, n2, admit, retract))
+        leaves = _minimal_pair_tuples(obj.n1, n2, admit, retract)
+        if len(obj.required) <= 1:
+            # A leaf comes right after its last pair is admitted, and its
+            # prefix holds every pair of its one candidate: the bound of
+            # that pair is the candidate's cost.
+            found = ((last, _merged(obj, pairs)[0]) for pairs in leaves)
+        else:
+            blocks = (_merged(obj, pairs) for pairs in leaves)
+            found = (_least(block, obj.costs(block)) for block in blocks)
     else:
         minimal = _minimal_pair_tuples(obj.n1, n2)
         stream = islice(chain.from_iterable(_merged(obj, pairs) for pairs in minimal), budget)
         blocks = iter(lambda: list(islice(stream, BLOCK)), [])
-    for block in blocks:
-        value, cand = _least(block, obj.costs(block))
+        found = (_least(block, obj.costs(block)) for block in blocks)
+    for value, cand in found:
         if value < best or (value == best and cand < best_pairs):
             best, best_pairs = value, cand
     return best, best_pairs
@@ -823,6 +865,7 @@ def local_search_upper(
     seed: int,
     iterations: int = 200,
     basepoints: tuple[int, int] | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> DistanceResult:
     """Greedy descent over correspondences; a certified upper bound, never exact.
 
@@ -832,12 +875,13 @@ def local_search_upper(
     at once and moves to the lexicographically smallest relation of least
     cost, while that cost improves.  Deterministic for a given seed.
     Inputs are checked as the exact driver of the same kind checks them;
-    `basepoints` is the pt-gh basepoint pair.
+    `basepoints` is the pt-gh basepoint pair and `tol` the classification
+    tolerance of bb-gh and fd-hh.
     """
     for name, value in (("seed", seed), ("iterations", iterations)):
         if not isinstance(value, numbers.Integral) or value < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    obj = _objective(kind, a, b, basepoints=basepoints)
+    obj = _objective(kind, a, b, tol, basepoints)
     n1, n2, zeros = obj.n1, obj.n2, obj.zeros
     pinned = {obj.anchor} if obj.anchor is not None else set()
     pinned_id = -1 if obj.anchor is None else obj.anchor[0] * n2 + obj.anchor[1]

@@ -75,17 +75,18 @@ def test_enumerator_hooks_refuse_subtrees_and_pair_up():
     # An admit that refuses some pairs removes exactly the tuples holding
     # them, in stream order; each admitted pair is retracted once, last in
     # first out, and the pairs admitted and not yet retracted at a yield are
-    # the yielded tuple.
+    # the yielded tuple, whose last pair is the last one admitted.
     for n1, n2 in itertools.product(range(1, 5), repeat=2):
         cells = list(itertools.product(range(n1), range(n2)))
         for refused in (set(), {cells[0]}, {cells[-1]}, set(cells[1::3]), set(cells[::2])):
-            held, calls = [], {"admit": 0, "retract": 0}
+            held, admitted, calls = [], [], {"admit": 0, "retract": 0}
 
             def admit(r, c):
                 if (r, c) in refused:
                     return False
                 calls["admit"] += 1
                 held.append((r, c))
+                admitted.append((r, c))
                 return True
 
             def retract():
@@ -95,6 +96,7 @@ def test_enumerator_hooks_refuse_subtrees_and_pair_up():
             walked = []
             for pairs in _minimal_pair_tuples(n1, n2, admit, retract):
                 assert tuple(held) == pairs
+                assert admitted[-1] == pairs[-1]
                 walked.append(pairs)
             expected = [p for p in _minimal_pair_tuples(n1, n2) if refused.isdisjoint(p)]
             assert walked == expected, (n1, n2, refused)
@@ -497,6 +499,25 @@ def test_local_search_checks_inputs_like_the_exact_drivers(path3):
             search(tml.DistanceKind.PT_GH, path3, path3, seed=0, basepoints=(p1, p2))
         with pytest.raises(InvalidBasepoint):
             tml.pointed_gh(path3, p1, path3, p2)
+
+
+@pytest.mark.parametrize("kind", [tml.DistanceKind.BB_GH, tml.DistanceKind.FD_HH],
+                         ids=lambda k: k.value)
+def test_local_search_classifies_at_its_tolerance(kind):
+    # Cone spaces whose times are all raised by 1e-5: a big bang (and future
+    # developed) space at tol 1e-3, but not at the default tolerance.
+    def lifted(seed, n):
+        t = tml.random_time_function(seed, tml.random_metric_space(seed, n), model="cone")
+        return tml.build_timed_space(t.base, t.tau + 1e-5)
+
+    a, b = lifted(1, 4), lifted(2, 3)
+    exact = tml.distance(kind, a, b, tol=1e-3)
+    with pytest.raises(NotBigBang if kind is tml.DistanceKind.BB_GH else NotFutureDeveloped):
+        tml.local_search_upper(kind, a, b, seed=0)
+    search = tml.local_search_upper(kind, a, b, seed=0, tol=1e-3)
+    assert (search.anchor, search.zero_pairs is None) == (exact.anchor, exact.zero_pairs is None)
+    assert search.upper >= exact.upper
+    assert tml.reevaluate(search, a, b) == search.upper
 
 
 @pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 1.5), ("iterations", -3),

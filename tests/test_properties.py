@@ -6,11 +6,13 @@ bit for bit, a space is at distance zero from itself, and the certificate
 re-evaluates to ``upper``.  The engine's batched cost of a block of relations
 equals the plain per-correspondence function of each relation.  A complete
 scan (the pruned scan) returns what a plain loop over the stream returns,
-and scores fewer candidates than the stream holds even within one block; the
+and reaches fewer leaves than the stream holds even within one block; the
 glued objectives equal the distortion bit for bit, which is how the engine
-scores them.  The prefix bounds the scan
-prunes on never decrease as pairs are added, never exceed the cost of a
-candidate that holds the prefix, and come back when a pair is undone.  Local
+scores them.  The prefix bounds the scan prunes on never decrease as pairs
+are added, never exceed the cost of a candidate that holds the prefix, equal
+the cost of the one candidate of a complete prefix, and come back when a pair
+is undone; the rho bounds built a row of children at a time equal the
+one-pair fold, in the walk's order.  Local
 search returns what the set-based descent returns, neighbour tables and tie
 breaks included.  The table validators return what the plain pair and triple loops return, on
 tables with ties, asymmetric, negative and non-finite entries.
@@ -249,23 +251,31 @@ def test_complete_scan_equals_the_plain_loop(kind, shape, seed, graphs, zeros):
         assert got.zero_pairs is None
 
 
-def test_complete_one_block_scan_is_pruned():
+def test_complete_one_block_scan_is_pruned(monkeypatch):
     # 184 candidates at 4 x 4, well within one block: the search still
-    # refuses most of them before they are scored.
+    # refuses most of them before they reach a leaf, and scores each leaf it
+    # reaches by its bound, never by the batched cost.
     engine = tml.engine
     x1 = tml.random_metric_space(7, 4)
     x2 = tml.random_metric_space(8, 4, model="graph")
     obj = engine._objective(K.GH, x1, x2)
     total = tml.stream_length(K.GH, x1, x2)
     assert total == 184 < engine.BLOCK
-    scored = []
+    leaves = []
+    walk = engine._minimal_pair_tuples
+
+    def counted(*args):
+        for pairs in walk(*args):
+            leaves.append(pairs)
+            yield pairs
 
     def costs(block):
-        scored.extend(block)
-        return obj.costs(block)
+        raise AssertionError("a complete gh scan scored a block")
 
+    monkeypatch.setattr(engine, "_minimal_pair_tuples", counted)
     value, pairs = engine._scan(dataclasses.replace(obj, costs=costs), total, tml.DEFAULT_BUDGET)
-    assert len(scored) < total
+    monkeypatch.undo()
+    assert 0 < len(leaves) < total
     exact = tml.gh_distance(x1, x2)
     assert (value, pairs) == (exact.upper, exact.certificate.pairs)
     assert exact.explored == total and exact.is_exact
@@ -349,12 +359,68 @@ def test_prefix_bounds_never_decrease_and_never_pass_a_cost(
         assert bounds == sorted(bounds)
         costs = obj.costs(engine._merged(obj, pairs))
         assert bounds[-1] <= costs.min()
-        if kind is not K.FD_HH:
+        # With at most one required pair set, the prefix holds every pair
+        # of the one candidate: the complete scan scores leaves so.
+        if len(obj.required) <= 1:
             assert bounds[-1] == costs.min()
         for k in reversed(range(len(ids))):
             undo()
             assert extend(ids[k]) == bounds[k]
             undo()
+
+
+@pytest.mark.parametrize("kind", [K.KAPPA_GH, K.TAU_H], ids=lambda k: k.value)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n1=st.integers(1, 5),
+    n2=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    graphs=st.booleans(),
+    refuse=st.sampled_from((0.0, 0.2, 0.5)),
+)
+def test_rho_prefix_bounds_equal_the_one_pair_fold(kind, n1, n2, seed, graphs, refuse):
+    # The rho prefix bounds a node's children in batches; in the walk's own
+    # admit / retract order, with children refused at random and random
+    # children asked for out of order and undone, every bound is the
+    # one-pair fold's: the prefix's rho table joined with the new pair's gap
+    # table, then its Hausdorff value.
+    x1 = tml.random_metric_space(seed, n1, model="graph" if graphs else "euclidean")
+    x2 = tml.random_metric_space(seed + 1, n2, model="graph")
+    a = tml.random_time_function(seed, x1, model="mcshane")
+    b = tml.random_time_function(seed + 1, x2, model="cone")
+    x, y = (a, b) if kind is K.TAU_H else (x1, x2)
+    engine = tml.engine
+    obj = engine._objective(kind, x, y)
+    C = np.abs(x1.d[:, None, :, None] - x2.d[None, :, None, :]).reshape(n1 * n2, n1, n2)
+    tables = [np.abs(a.tau[:, None] - b.tau[None, :]) if kind is K.TAU_H else np.zeros((n1, n2))]
+    extend, undo = obj.prefix()
+    rng = np.random.default_rng(seed)
+    asked = []
+
+    def fold(p):
+        asked.append(p)
+        table = np.maximum(tables[-1], C[p])
+        assert extend(p) == engine._maxmin(table), asked
+        return table
+
+    def admit(r, c):
+        if rng.random() < refuse:
+            fold(int(rng.integers(n1 * n2)))
+            undo()
+        table = fold(r * n2 + c)
+        if rng.random() < refuse:
+            undo()
+            return False
+        tables.append(table)
+        return True
+
+    def retract():
+        undo()
+        tables.pop()
+
+    for _ in engine._minimal_pair_tuples(n1, n2, admit, retract):
+        pass
+    assert len(tables) == 1 and asked
 
 
 # ---------------------------------------------------------------------------
