@@ -37,8 +37,7 @@ drivers: one scan and one result assembler serve every kind and
 ``local_search_upper``.  The plain per-correspondence functions stay as the
 independent check of certificates.
 
-A scan cut by its budget, and a complete fd-hh scan with several minimal
-zero-set correspondences, score candidates in blocks, one numpy call chain
+A scan cut by its budget scores candidates in blocks, one numpy call chain
 per block.  A block is a table of pair ids, one row per candidate; rows
 shorter than the longest repeat their first pair.  Every cost is a max over
 the row's pairs (distortion or the profile-gap table rho), and a repeated
@@ -48,33 +47,36 @@ Within a block the least value goes to the lexicographically smallest tuple
 that attains it, as in a one-at-a-time scan.
 
 Local search holds its relation as a sorted array of pair ids and builds each
-step's whole neighbourhood (every add, drop and one-endpoint swap that keeps
-both point sets, both zero sets and the pinned anchor covered) as one padded
-id table, with coverage read off the relation's degree counts.  Each
-neighbour is the relation with at most one id taken out and one put in, so
+step's whole neighbourhood (every drop and one-endpoint swap that keeps both
+point sets, both zero sets and the pinned anchor covered) as one padded id
+table, with coverage read off the relation's degree counts.  It builds no
+add: every cost is monotone in the relation, so an added pair never lowers
+it.  Each neighbour is the relation with one id taken out and one put in, so
 its cost is the cost of the relation without that slot, computed once per
 slot, joined with the new id's entries: the same max over the same floats,
 bit for bit.  Ties go to the smallest tuple among the tied rows, each read
 back as the set of its ids.
 
-There is one scan, ``_scan``.  The stream length is counted without
-enumerating (``stream_length``); the scan is complete exactly when it fits
-the budget, and ``explored`` is the smaller of the two.  Completeness alone
-picks the walk.  A cut scan scores the stream's first ``budget`` candidates
-in blocks of ``BLOCK``.  A complete scan is pruned: the enumerator refuses a
-prefix whose bound, at most the cost of every candidate below it, cannot
-beat the best candidate held.  The bound never decreases as pairs are
-added: the distortion of the prefix joined with the pairs every required set
-contains, times the kind's scale, or the Hausdorff value of the prefix's rho
-table.  A rho prefix bounds all of a node's children in one row at once.
-When a kind requires at most one pair set (every kind but fd-hh with several
-minimal zero-set correspondences), a leaf's prefix holds every pair of its
-one candidate, so the bound of its last pair is that candidate's cost and
-the leaf is scored by it.  Otherwise each leaf's merged candidates are
-scored as one block.  Unmerged candidates come in stream order, so an equal
-bound prunes them; merged candidates do not, so an equal bound prunes only
-a subtree whose every candidate sorts after the best tuple.  Pruning changes
-no value, certificate or ``explored`` count.
+There is one scan, ``_scan``, over a set-major stream: for each pair set the
+kind requires (none for gh, kappa-gh and tau-h; the anchor pair for pt-gh and
+bb-gh; each minimal zero-set correspondence for fd-hh), every minimal
+correspondence joined with that set, in enumeration order.  The stream
+length is counted without enumerating (``stream_length``); the scan is
+complete exactly when it fits the budget, and ``explored`` is the smaller of
+the two.  Completeness alone picks the walk.  A cut scan scores the stream's
+first ``budget`` candidates in blocks of ``BLOCK``.  A complete scan walks
+the correspondence tree once per required set: the prefix first holds the
+set's pairs, then the enumerator refuses a prefix whose bound, at most the
+cost of every candidate below it, cannot beat the best candidate held.  The
+bound never decreases as pairs are added: the distortion of the prefix times
+the kind's scale, or the Hausdorff value of the prefix's rho table.  A rho
+prefix bounds all of a node's children in one row at once.  A leaf's prefix
+holds every pair of its candidate, so the bound of its last pair is that
+candidate's cost and the leaf is scored by it.  Without a required set the
+candidates come in lexicographic order, so an equal bound prunes them;
+joined candidates need not, so an equal bound prunes only a subtree whose
+every candidate sorts after the best tuple.  Pruning changes no value,
+certificate or ``explored`` count.
 """
 
 from __future__ import annotations
@@ -393,19 +395,18 @@ class _Objective:
     `costs` maps a block (a list) of sorted pair tuples to the array of their
     per-correspondence costs.  `move_costs(cur, slot, table)` scores one
     local-search step: row m of the pair id table is the relation `cur`
-    (sorted pair ids) with the id at slot[m] taken out (none at slot
-    len(cur)) and the row's last id put in, padded with repeats of its own
-    ids.  `prefix()` starts an empty prefix of pairs and returns
-    `(extend, undo)`: `extend(p)` adds pair id p and returns a bound at most
-    the cost of every candidate that holds the prefix, never less than the
-    bound before; `undo()` drops the last pair added.  The bound of a prefix
-    that holds every pair of a candidate (with the required pairs of its one
-    required set) is that candidate's cost.  The rho prefix builds a node's
-    children in batches: the first `extend(p)` below a prefix bounds ids p
-    to the end of p's row in one numpy call, and later siblings in that
-    range read their table and bound from it.
-    `required` holds the pair sets merged into each minimal correspondence,
-    one candidate per set: none for gh/kappa-gh/tau-h, the basepoint pair for
+    (sorted pair ids) with the id at slot[m] taken out and the row's last id
+    put in, padded with repeats of its own ids.  `prefix()` starts an empty
+    prefix of pairs and returns `(extend, undo)`: `extend(p)` adds pair id p
+    and returns a bound at most the cost of every candidate that holds the
+    prefix, never less than the bound before; `undo()` drops the last pair
+    added.  The bound of a prefix that holds every pair of a candidate is
+    that candidate's cost.  The rho prefix builds a node's children in
+    batches: the first `extend(p)` below a prefix bounds ids p to the end of
+    p's row in one numpy call, and later siblings in that range read their
+    table and bound from it.
+    `required` holds the pair sets a candidate must contain, the stream
+    running once per set: none for gh/kappa-gh/tau-h, the basepoint pair for
     pt-gh/bb-gh, every minimal zero-set correspondence for fd-hh.  `floor` is
     the kind's simple lower bound.
     """
@@ -487,10 +488,10 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         def move_costs(cur, slot, table):
             # before[s] is rho joined with the tables of the first s ids of
             # cur, after[s] with those of the ids past slot s: together, the
-            # rho table of cur without slot s (of all cur at slot k).
-            before = np.maximum.accumulate(np.concatenate((rho[None], C[cur])))
+            # rho table of cur without slot s.
+            before = np.maximum.accumulate(np.concatenate((rho[None], C[cur[:-1]])))
             after = np.maximum.accumulate(np.concatenate((rho[None], C[cur[:0:-1]])))[::-1]
-            without = np.maximum(before, np.concatenate((after, rho[None])))
+            without = np.maximum(before, after)
             return _maxmin(np.maximum(without[slot], C[table[:, -1]]))
 
         def prefix():
@@ -520,11 +521,9 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         # DIS[id, id'] is the distortion contribution of two pairs times the
         # kind's scale: gh is half the distortion, and each glued cost equals
         # it (see above).  Rounding is monotone, so the max of scaled entries
-        # is the scaled max, bit for bit.  A glued prefix holds the pairs
-        # every required set contains from the start.
+        # is the scaled max, bit for bit.
         scale = 0.5 if kind is DistanceKind.GH else 1.0
         DIS = np.abs(x1.d[np.ix_(rows, rows)] - x2.d[np.ix_(cols, cols)]) * scale
-        common = sorted(set(required[0]).intersection(*required[1:])) if required else []
 
         def costs(block):
             ids = _pair_ids(block, n2)
@@ -534,20 +533,19 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
             return out
 
         def move_costs(cur, slot, table):
-            # without[s] is the distortion of cur without slot s (of all cur
-            # at slot k); a masked entry counts 0, below every entry of DIS.
-            gone = np.eye(len(cur) + 1, len(cur), dtype=bool)
+            # without[s] is the distortion of cur without slot s; a masked
+            # entry counts 0, below every entry of DIS.
+            gone = np.eye(len(cur), dtype=bool)
             without = np.where(gone[:, :, None] | gone[:, None, :], 0.0, DIS[np.ix_(cur, cur)])
             return np.maximum(without.max(axis=(1, 2))[slot], DIS[table[:, -1:], table].max(axis=1))
 
         def prefix():
             dis = DIS.tolist()
-            ids = [p * n2 + q for p, q in common]
+            ids = []
             # running[k] is the distortion of the first k ids; extend writes it
-            # before reading it.  A path holds each pair id at most once, so
-            # len(dis) slots past the common pairs suffice.
-            start = max((dis[p][q] for p in ids for q in ids), default=0.0)
-            running = [start] * (len(ids) + len(dis) + 1)
+            # before reading it.  A scan holds a required set and then a path,
+            # each with every pair id at most once: 2 * len(dis) ids at most.
+            running = [0.0] * (2 * len(dis) + 1)
 
             def extend(p):
                 k = len(ids)
@@ -582,59 +580,59 @@ def stream_length(kind: DistanceKind, a, b, tol: float = DEFAULT_TOL) -> int:
     return total
 
 
-def _merged(obj: _Objective, pairs) -> list:
-    """The candidates one minimal correspondence stands for, in stream order."""
-    if not obj.required:
-        return [pairs]
-    have = set(pairs)
-    return [pairs if have.issuperset(extra) else tuple(sorted(have.union(extra)))
-            for extra in obj.required]
+def _joined(pairs, extra):
+    """The candidate a minimal correspondence stands for under one required
+    pair set: its sorted pair tuple joined with the set."""
+    return tuple(sorted(set(pairs).union(extra))) if extra else pairs
 
 
 def _least(block: list, values: np.ndarray):
     """The least value of a nonempty block and the lexicographically smallest
-    tuple attaining it.  Merged candidates are not in lexicographic order, so
+    tuple attaining it.  Joined candidates are not in lexicographic order, so
     the first index would not do."""
     low = values.min()
     return low, min(block[i] for i in np.flatnonzero(values == low))
 
 
 def _scan(obj: _Objective, total: int, budget: int):
-    """The least cost among the first `budget` candidates of a stream of
-    `total`, and the lexicographically smallest candidate attaining it.
+    """The least cost among the first `budget` candidates of a set-major
+    stream of `total`, and the lexicographically smallest candidate
+    attaining it.
 
-    A stream that fits the budget is pruned: a prefix is refused when its
-    bound cannot beat the best candidate held.  With at most one required
-    pair set, a leaf is scored by the bound of its last pair, which is its
-    one candidate's cost; with several, its merged candidates are scored as
-    one block.  The exact kinds' candidates are unmerged and met in stream
-    order, so an equal bound prunes them.  Merged candidates are not in
-    stream order: an equal bound prunes only when `may_precede` shows that
-    every candidate below sorts after the best tuple, and ties go to the
-    smallest tuple as in `_least`.  A cut stream is scored in blocks of
-    BLOCK.
+    A cut stream is scored in blocks of BLOCK.  A stream that fits the
+    budget is walked once per required pair set, the prefix holding the
+    set's pairs first, and a prefix is refused when its bound cannot beat
+    the best candidate held.  Each leaf is scored by the bound of its last
+    pair, which is its candidate's cost.  Without a required set the
+    candidates are met in lexicographic order, so an equal bound prunes
+    them.  Joined candidates are not: an equal bound prunes only when
+    `may_precede` shows that every candidate below sorts after the best
+    tuple.
     """
     best, best_pairs = math.inf, None
-    n2 = obj.n2
-    if total <= budget:
+    n1, n2 = obj.n1, obj.n2
+    sets = obj.required or ((),)
+    if total > budget:
+        stream = chain.from_iterable(
+            (_joined(pairs, extra) for pairs in _minimal_pair_tuples(n1, n2)) for extra in sets
+        )
+        stream = islice(stream, budget)
+        blocks = iter(lambda: list(islice(stream, BLOCK)), [])
+        found = (_least(block, obj.costs(block)) for block in blocks)
+    else:
         extend, undo = obj.prefix()
         exact = obj.exact
+        held: list[int] = []  # the pair ids of the set being walked
         path: list[int] = []
         last = math.inf  # the bound of the pair admitted last
-        extras = [[a * n2 + b for a, b in extra] for extra in obj.required]
 
         def may_precede(p):
             """Whether a candidate below the path plus pair id p can sort
             before the best tuple.  Pair ids order as pairs do, and every pair
-            added below is above p, so a candidate merged with `extra` starts
-            with `lead`: the path, p and the ids of `extra` below p."""
-            held = path + [p]
-            best_ids = [a * n2 + b for a, b in best_pairs]
-            for extra in extras:
-                lead = sorted(set(held).union(e for e in extra if e < p))
-                if lead <= best_ids[: len(lead)]:
-                    return True
-            return False
+            added below is above p, so such a candidate starts with `lead`:
+            the path, p and the held ids below p."""
+            lead = sorted({*path, p, *(e for e in held if e < p)})
+            return lead <= [a * n2 + b for a, b in best_pairs[: len(lead)]]
 
         def admit(r, c):
             nonlocal last
@@ -651,20 +649,19 @@ def _scan(obj: _Objective, total: int, budget: int):
             undo()
             path.pop()
 
-        leaves = _minimal_pair_tuples(obj.n1, n2, admit, retract)
-        if len(obj.required) <= 1:
-            # A leaf comes right after its last pair is admitted, and its
-            # prefix holds every pair of its one candidate: the bound of
-            # that pair is the candidate's cost.
-            found = ((last, _merged(obj, pairs)[0]) for pairs in leaves)
-        else:
-            blocks = (_merged(obj, pairs) for pairs in leaves)
-            found = (_least(block, obj.costs(block)) for block in blocks)
-    else:
-        minimal = _minimal_pair_tuples(obj.n1, n2)
-        stream = islice(chain.from_iterable(_merged(obj, pairs) for pairs in minimal), budget)
-        blocks = iter(lambda: list(islice(stream, BLOCK)), [])
-        found = (_least(block, obj.costs(block)) for block in blocks)
+        def walk(extra):
+            held[:] = [a * n2 + b for a, b in extra]
+            for p in held:
+                extend(p)
+            for pairs in _minimal_pair_tuples(n1, n2, admit, retract):
+                # A leaf comes right after its last pair is admitted, and its
+                # prefix holds every pair of its candidate: the bound of that
+                # pair is the candidate's cost.
+                yield last, _joined(pairs, extra)
+            for _ in held:
+                undo()
+
+        found = chain.from_iterable(map(walk, sets))
     for value, cand in found:
         if value < best or (value == best and cand < best_pairs):
             best, best_pairs = value, cand
@@ -815,14 +812,14 @@ def reevaluate(result: DistanceResult, a, b) -> float:
 def _neighbours(cur: np.ndarray, n1: int, n2: int, pinned: int, z1: np.ndarray,
                 z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every relation one local move away from the covering relation `cur`
-    (its sorted pair ids): add a pair, drop a pair, or move one endpoint of a
-    pair other than the pinned pair id, keeping both point sets and both zero
-    sets (masks z1, z2) covered.
+    (its sorted pair ids) that may cost less: drop a pair, or move one
+    endpoint of a pair other than the pinned pair id, keeping both point
+    sets and both zero sets (masks z1, z2) covered.  Adding a pair never
+    lowers a cost, so no add is built.
 
     Returns `(slot, table)`.  Row m of the table is `cur` with the id at
-    slot[m] set to the row's last id: an add appends it (slot len(cur)), a
-    swap puts it in place of the id it moves, and a drop overwrites the
-    dropped id with another id of `cur`.
+    slot[m] set to the row's last id: a swap puts it in place of the id it
+    moves, and a drop overwrites the dropped id with another id of `cur`.
     """
     k = len(cur)
     r, c = np.divmod(cur, n2)
@@ -846,11 +843,8 @@ def _neighbours(cur: np.ndarray, n1: int, n2: int, pinned: int, z1: np.ndarray,
     along_col = np.arange(n1) * n2 + c[:, None]
     cs, cq = np.nonzero((movable & row_kept & zrow_kept)[:, None] & ~held[along_col]
                         & (zcol_kept[:, None] | z1))
-    adds = np.flatnonzero(~held)
-    # An add leaves every slot alone: slot k is the appended column.
-    slot = np.concatenate((np.full(len(adds), k), drops, rs, cs))
-    val = np.concatenate((adds, np.where(drops == 0, cur[-1], cur[0]),
-                          along_row[rs, rq], along_col[cs, cq]))
+    slot = np.concatenate((drops, rs, cs))
+    val = np.concatenate((np.where(drops == 0, cur[-1], cur[0]), along_row[rs, rq], along_col[cs, cq]))
     table = np.empty((len(slot), k + 1), dtype=np.intp)
     table[:, :k] = cur
     table[:, k] = val
@@ -870,10 +864,10 @@ def local_search_upper(
     """Greedy descent over correspondences; a certified upper bound, never exact.
 
     Starts from the modular diagonal pairing (the identity when the spaces
-    share a size) plus seeded random restarts; moves add a pair, drop a
-    droppable pair, or swap one endpoint.  Each step scores every neighbour
-    at once and moves to the lexicographically smallest relation of least
-    cost, while that cost improves.  Deterministic for a given seed.
+    share a size) plus seeded random restarts; moves drop a droppable pair
+    or swap one endpoint (an added pair never lowers a cost).  Each step
+    scores every neighbour at once and moves to the lexicographically
+    smallest relation of least cost, while that cost improves.  Deterministic for a given seed.
     Inputs are checked as the exact driver of the same kind checks them;
     `basepoints` is the pt-gh basepoint pair and `tol` the classification
     tolerance of bb-gh and fd-hh.

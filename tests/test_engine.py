@@ -569,11 +569,12 @@ def test_local_search_deterministic(path3):
 def test_local_search_path_is_pinned():
     # Graph spaces tie many neighbours; a descent that breaks ties other than
     # by the smallest tuple walks another path.  Values of the one-neighbour-
-    # at-a-time loop.
+    # at-a-time loop; `explored` counts no add move (79, 67 and 64 of them
+    # were scored when the search still built adds: 185, 209 and 212).
     pinned = {
-        0: (0.2242304548330818, ((0, 0), (1, 1), (2, 2), (3, 0)), 185),
-        1: (0.29404784426104746, ((0, 0), (1, 1), (1, 2), (2, 0), (3, 1)), 209),
-        2: (0.1336247541599978, ((0, 0), (1, 1), (2, 2), (3, 0)), 212),
+        0: (0.2242304548330818, ((0, 0), (1, 1), (2, 2), (3, 0)), 106),
+        1: (0.29404784426104746, ((0, 0), (1, 1), (1, 2), (2, 0), (3, 1)), 142),
+        2: (0.1336247541599978, ((0, 0), (1, 1), (2, 2), (3, 0)), 148),
     }
     for seed, (upper, pairs, explored) in pinned.items():
         x1 = tml.random_metric_space(seed, 4, model="graph")
@@ -622,29 +623,46 @@ def test_spaces_without_local_moves(shape):
         assert not exact.budget_exhausted
 
 
-@pytest.mark.parametrize("kind", [tml.DistanceKind.GH, tml.DistanceKind.PT_GH],
-                         ids=lambda k: k.value)
+@pytest.mark.parametrize(
+    "kind", [tml.DistanceKind.GH, tml.DistanceKind.PT_GH, tml.DistanceKind.FD_HH], ids=lambda k: k.value
+)
 def test_budgets_at_block_boundaries(kind):
-    # Budgets on both sides of the scan's block size and of the stream's end
-    # (2,945 candidates at 5 x 5), against a plain loop over the same stream
-    # with the plain objective.  On these graph spaces the least pt-gh cost is
-    # tied at every budget, and the merged candidates are not in
-    # lexicographic order: the first tied candidate is not the smallest tuple.
+    # Budgets on both sides of the scan's block size, of the first required
+    # set's end and of the stream's end (2,945 minimal correspondences at
+    # 5 x 5), against a plain loop over the same set-major stream with the
+    # plain objective.  On these graph spaces the least pt-gh cost is tied at
+    # every budget, and the joined candidates are not in lexicographic order:
+    # the first tied candidate is not the smallest tuple.  The two-point zero
+    # sets of fd-hh have two minimal correspondences, so its stream runs
+    # through the minimal correspondences twice, once per set.
+    K = tml.DistanceKind
     x1 = tml.random_metric_space(4, 5, model="graph")
     x2 = tml.random_metric_space(104, 5, model="graph")
+    a = tml.random_time_function(4, x1, model="set-cone", subset_size=2)
+    b = tml.random_time_function(104, x2, model="set-cone", subset_size=2)
+    x, y = (a, b) if kind is K.FD_HH else (x1, x2)
     anchor = (3, 2)
-    if kind is tml.DistanceKind.GH:
-        stream = [c.pairs for c in tml.minimal_correspondences(5, 5)]
+    if kind is K.GH:
+        sets = [()]
         plain = lambda corr: tml.engine.distortion(corr, x1, x2) / 2.0
-    else:
-        stream = [tuple(sorted(set(c.pairs) | {anchor})) for c in tml.minimal_correspondences(5, 5)]
+    elif kind is K.PT_GH:
+        sets = [(anchor,)]
         plain = lambda corr: tml.engine.pointed_glued_objective(corr, x1, anchor[0], x2, anchor[1])
-    assert len(stream) == 2945
+    else:
+        z1, z2 = ([i for i in range(5) if t.tau[i] <= tml.DEFAULT_TOL] for t in (a, b))
+        sets = [tuple((z1[i], z2[j]) for i, j in c.pairs)
+                for c in tml.minimal_correspondences(len(z1), len(z2))]
+        plain = lambda corr: tml.engine.fd_glued_objective(corr, a, b, z1, z2)
+    minimal = [c.pairs for c in tml.minimal_correspondences(5, 5)]
+    stream = [tuple(sorted(set(pairs) | set(extra))) for extra in sets for pairs in minimal]
+    assert len(stream) == 2945 * len(sets) == tml.stream_length(kind, x, y)
+    assert len(sets) == (2 if kind is K.FD_HH else 1)
     values = [plain(tml.make_correspondence(5, 5, p)) for p in stream]
-    floor = tml.simple_lower_bounds(kind, x1, x2)
+    floor = tml.simple_lower_bounds(kind, x, y)
 
     B = tml.engine.BLOCK
-    for budget in (B - 1, B, B + 1, 2 * B + 1, 2944, 2945, 2946):
+    ends = {2944, 2945, 2946, len(stream) - 1, len(stream), len(stream) + 1}
+    for budget in sorted({B - 1, B, B + 1, 2 * B + 1} | ends):
         best, best_pairs = math.inf, None
         for pairs, value in zip(stream[:budget], values[:budget]):
             if value < best or (value == best and pairs < best_pairs):
@@ -652,12 +670,12 @@ def test_budgets_at_block_boundaries(kind):
         complete = budget >= len(stream)
         if not complete:
             lower = min(floor, best)
-        elif kind is tml.DistanceKind.GH:
+        elif kind is K.GH:
             lower = best
         else:
             lower = min(max(floor, best / 2.0), best)
 
-        got = tml.distance(kind, x1, x2, budget=budget, basepoints=anchor)
+        got = tml.distance(kind, x, y, budget=budget, basepoints=anchor)
         assert got.explored == min(budget, len(stream))
         assert got.budget_exhausted == (not complete)
         assert got.is_exact == (complete and lower == best)

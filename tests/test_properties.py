@@ -8,14 +8,15 @@ equals the plain per-correspondence function of each relation.  A complete
 scan (the pruned scan) returns what a plain loop over the stream returns,
 and reaches fewer leaves than the stream holds even within one block; the
 glued objectives equal the distortion bit for bit, which is how the engine
-scores them.  The prefix bounds the scan prunes on never decrease as pairs
-are added, never exceed the cost of a candidate that holds the prefix, equal
-the cost of the one candidate of a complete prefix, and come back when a pair
-is undone; the rho bounds built a row of children at a time equal the
-one-pair fold, in the walk's order.  Local
-search returns what the set-based descent returns, neighbour tables and tie
-breaks included.  The table validators return what the plain pair and triple loops return, on
-tables with ties, asymmetric, negative and non-finite entries.
+scores them.  The prefix bounds the scan prunes on, with a required pair set
+held before the path, never decrease as pairs are added, equal the cost of
+the joined candidate once the path is a whole minimal correspondence, and
+come back when a pair is undone; the rho bounds built a row of children at a
+time equal the one-pair fold, in the walk's order.  Local search returns
+what the set-based descent returns, neighbour tables and tie breaks
+included, with the add moves it no longer builds counted apart.  The table
+validators return what the plain pair and triple loops return, on tables
+with ties, asymmetric, negative and non-finite entries.
 """
 
 import dataclasses
@@ -170,7 +171,7 @@ def plain_cost(kind, a, b, anchor, zeros):
 
 
 def plain_scan(kind, a, b, anchor):
-    """Every minimal correspondence merged with every pair set the kind
+    """Every minimal correspondence joined with every pair set the kind
     requires, scored one at a time; the least cost and the smallest tuple
     attaining it, as a complete scan must return them."""
     zeros = [[i for i in range(t.n) if t.tau[i] <= tml.DEFAULT_TOL] for t in (a, b)]
@@ -201,7 +202,7 @@ MULTI_BLOCK = ((4, 5), (5, 4), (5, 5))
 
 @pytest.mark.parametrize("kind", list(K), ids=lambda k: k.value)
 @settings(max_examples=2, deadline=None, derandomize=True, database=None)
-# Tied least costs on graph metrics: pruning an equal bound of a merged kind,
+# Tied least costs on graph metrics: pruning an equal bound of a joined kind,
 # or misreading which candidates of a subtree sort first, changes the
 # certificate of bb-gh and fd-hh at the first example and of pt-gh at the
 # second.
@@ -213,6 +214,9 @@ MULTI_BLOCK = ((4, 5), (5, 4), (5, 5))
 @example(shape=(3, 3), seed=11, graphs=True, zeros=(2, 1))
 @example(shape=(4, 4), seed=86, graphs=True, zeros=(2, 2))
 @example(shape=(4, 4), seed=3, graphs=False, zeros=(1, 2))
+# Three-point zero sets: fifteen walks for fd-hh, whose least cost 20
+# candidates tie, the first in the stream not the smallest.
+@example(shape=(4, 4), seed=26, graphs=True, zeros=(3, 3))
 @given(
     shape=st.sampled_from(MULTI_BLOCK),
     seed=st.integers(0, 2**16),
@@ -252,33 +256,40 @@ def test_complete_scan_equals_the_plain_loop(kind, shape, seed, graphs, zeros):
 
 
 def test_complete_one_block_scan_is_pruned(monkeypatch):
-    # 184 candidates at 4 x 4, well within one block: the search still
-    # refuses most of them before they reach a leaf, and scores each leaf it
-    # reaches by its bound, never by the batched cost.
+    # 184 minimal correspondences at 4 x 4, each joined for fd-hh with both
+    # minimal correspondences between its two-point zero sets: 184 or 368
+    # candidates, well within one block.  The search still refuses most of
+    # them before they reach a leaf, and scores each leaf it reaches by its
+    # bound, never by the batched cost, whatever the number of required sets.
     engine = tml.engine
     x1 = tml.random_metric_space(7, 4)
     x2 = tml.random_metric_space(8, 4, model="graph")
-    obj = engine._objective(K.GH, x1, x2)
-    total = tml.stream_length(K.GH, x1, x2)
-    assert total == 184 < engine.BLOCK
-    leaves = []
+    a = tml.random_time_function(7, x1, model="set-cone", subset_size=2)
+    b = tml.random_time_function(8, x2, model="set-cone", subset_size=2)
     walk = engine._minimal_pair_tuples
+    for kind in (K.GH, K.FD_HH):
+        x, y = (a, b) if kind is K.FD_HH else (x1, x2)
+        obj = engine._objective(kind, x, y)
+        total = tml.stream_length(kind, x, y)
+        assert len(obj.required) == (2 if kind is K.FD_HH else 0)
+        assert total == 184 * max(1, len(obj.required)) < engine.BLOCK
+        leaves = []
 
-    def counted(*args):
-        for pairs in walk(*args):
-            leaves.append(pairs)
-            yield pairs
+        def counted(*args):
+            for pairs in walk(*args):
+                leaves.append(pairs)
+                yield pairs
 
-    def costs(block):
-        raise AssertionError("a complete gh scan scored a block")
+        def costs(block):
+            raise AssertionError(f"a complete {kind.value} scan scored a block")
 
-    monkeypatch.setattr(engine, "_minimal_pair_tuples", counted)
-    value, pairs = engine._scan(dataclasses.replace(obj, costs=costs), total, tml.DEFAULT_BUDGET)
-    monkeypatch.undo()
-    assert 0 < len(leaves) < total
-    exact = tml.gh_distance(x1, x2)
-    assert (value, pairs) == (exact.upper, exact.certificate.pairs)
-    assert exact.explored == total and exact.is_exact
+        monkeypatch.setattr(engine, "_minimal_pair_tuples", counted)
+        value, pairs = engine._scan(dataclasses.replace(obj, costs=costs), total, tml.DEFAULT_BUDGET)
+        monkeypatch.undo()
+        assert 0 < len(leaves) < total
+        best, best_pairs, explored, _ = plain_scan(kind, a, b, None)
+        assert (value, pairs) == (best, best_pairs)
+        assert explored == total
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -335,6 +346,8 @@ def minimized(rng, pairs):
     masks=st.lists(st.integers(0, 2**25 - 1), min_size=1, max_size=4),
     zeros=st.tuples(st.integers(1, 2), st.integers(1, 2)),
 )
+# Two-point zero sets on both sides: three zero-set correspondences for fd-hh.
+@example(n1=4, n2=5, seed=3, graphs=True, masks=[0, 2**25 - 1, 12345], zeros=(2, 2))
 def test_prefix_bounds_never_decrease_and_never_pass_a_cost(
     kind, n1, n2, seed, graphs, masks, zeros
 ):
@@ -354,19 +367,17 @@ def test_prefix_bounds_never_decrease_and_never_pass_a_cost(
         pairs = minimized(rng, covering(rng, grid, range(n1), range(n2)))
         assert engine.pairs_are_minimal(pairs)
         ids = [p * n2 + q for p, q in pairs]
-        extend, undo = obj.prefix()
-        bounds = [extend(i) for i in ids]
-        assert bounds == sorted(bounds)
-        costs = obj.costs(engine._merged(obj, pairs))
-        assert bounds[-1] <= costs.min()
-        # With at most one required pair set, the prefix holds every pair
-        # of the one candidate: the complete scan scores leaves so.
-        if len(obj.required) <= 1:
-            assert bounds[-1] == costs.min()
-        for k in reversed(range(len(ids))):
-            undo()
-            assert extend(ids[k]) == bounds[k]
-            undo()
+        # A complete scan holds each required set before the walk's path,
+        # and scores a leaf by the bound of its last pair.
+        for extra in obj.required or ((),):
+            extend, undo = obj.prefix()
+            bounds = [extend(p * n2 + q) for p, q in extra] + [extend(i) for i in ids]
+            assert bounds == sorted(bounds)
+            assert bounds[-1] == obj.costs([engine._joined(pairs, extra)])[0]
+            for k in reversed(range(len(ids))):
+                undo()
+                assert extend(ids[k]) == bounds[len(extra) + k]
+                undo()
 
 
 @pytest.mark.parametrize("kind", [K.KAPPA_GH, K.TAU_H], ids=lambda k: k.value)
@@ -441,7 +452,9 @@ def covers(pairs, n1, n2, zeros):
 def set_local_search(kind, a, b, seed, iterations, basepoints):
     """The descent with every neighbour built as a set, checked for coverage
     one at a time and sorted into a tuple; each step scores the tuples with
-    the objective's batched cost."""
+    the objective's batched cost.  It still builds and scores the add moves,
+    which the engine leaves out because they never lower a cost, and counts
+    them apart: `explored` excludes them."""
     engine = tml.engine
     obj = engine._objective(kind, a, b, basepoints=basepoints)
     n1, n2, zeros = obj.n1, obj.n2, obj.zeros
@@ -460,19 +473,20 @@ def set_local_search(kind, a, b, seed, iterations, basepoints):
     universe = [(i, j) for i in range(n1) for j in range(n2)]
 
     def neighbors(pairs):
+        """(is an add, neighbour) for every move."""
         movable = sorted(pairs - pinned)
         for q in universe:
             if q not in pairs:
-                yield pairs | {q}
+                yield True, pairs | {q}
         for p in movable:
             if covers(pairs - {p}, n1, n2, zeros):
-                yield pairs - {p}
+                yield False, pairs - {p}
         for p in movable:
             for q in universe:
                 if q not in pairs and (q[0] == p[0] or q[1] == p[1]):
                     cand = (pairs - {p}) | {q}
                     if covers(cand, n1, n2, zeros):
-                        yield cand
+                        yield False, cand
 
     best_value, best_pairs, explored = np.inf, None, 0
     starts = [start({(i, i % n2) for i in range(n1)} | {(j % n1, j) for j in range(n2)})]
@@ -484,10 +498,11 @@ def set_local_search(kind, a, b, seed, iterations, basepoints):
         value = obj.costs([key])[0]
         explored += 1
         for _ in range(iterations):
-            block = [tuple(sorted(cand)) for cand in neighbors(current)]
-            if not block:
+            moves = list(neighbors(current))
+            if not moves:
                 break
-            explored += len(block)
+            block = [tuple(sorted(cand)) for _, cand in moves]
+            explored += len(block) - sum(add for add, _ in moves)
             low, pairs = engine._least(block, obj.costs(block))
             if low >= value:
                 break
