@@ -28,7 +28,7 @@ from .errors import (
     TmlError,
     ValidationError,
 )
-from .harness import SUITES, CampaignConfig, run_sequence_experiment, run_suite
+from .harness import CHECK_TOL, SUITES, CampaignConfig, run_sequence_experiment, run_suite
 from .io import read_space, write_report, write_space
 from .spaces import DEFAULT_TOL, TimedMetricSpace, classify, structure_report
 
@@ -169,7 +169,6 @@ def _cmd_campaign(args) -> int:
         nmax=args.nmax,
         seed=args.seed,
         tol=args.tol,
-        budget=args.budget,
     )
     return _report(
         run_suite(cfg), args, f"suite {args.suite}",
@@ -237,8 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--tol", type=float, default=CHECK_TOL)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.set_defaults(func=_cmd_campaign)

@@ -7,6 +7,7 @@ and reproducible across platforms.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,27 +204,25 @@ class SequenceSpec:
 def _check_spec(spec: SequenceSpec) -> None:
     if spec.family not in SEQUENCE_FAMILIES:
         raise InvalidSpec(f"unknown family {spec.family!r}")
-    if spec.length < 1:
-        raise InvalidSpec("length must be at least 1")
+    if not isinstance(spec.length, numbers.Integral) or spec.length < 1:
+        raise InvalidSpec(f"length must be an integer >= 1, got {spec.length!r}")
+    if not isinstance(spec.seed, numbers.Integral) or spec.seed < 0:
+        raise InvalidSpec(f"seed must be an integer >= 0, got {spec.seed!r}")
     if not (0.0 < spec.rate < 1.0):
         raise InvalidSpec("rate must lie strictly between 0 and 1")
 
 
 def _triangle_margin(d: np.ndarray) -> float:
     """Smallest relative triangle slack: how much any edge may grow before some
-    shortest path undercuts it."""
-    n = d.shape[0]
-    margin = np.inf
-    for i in range(n):
-        for k in range(n):
-            if i == k:
-                continue
-            for j in range(n):
-                if j == i or j == k:
-                    continue
-                slack = (d[i, j] + d[j, k] - d[i, k]) / d[i, k]
-                margin = min(margin, slack)
-    return float(margin)
+    shortest path undercuts it.  Entry [i, j, k] of the table is
+    (d[i,j] + d[j,k] - d[i,k]) / d[i,k] over distinct i, j, k."""
+    distinct = ~np.eye(d.shape[0], dtype=bool)
+    triples = distinct[:, None, :] & distinct[:, :, None] & distinct[None, :, :]
+    slack = np.divide(
+        d[:, :, None] + d[None, :, :] - d[:, None, :], d[:, None, :],
+        out=np.full(triples.shape, np.inf), where=triples,
+    )
+    return float(slack.min())
 
 
 def _perturb_family(spec: SequenceSpec):

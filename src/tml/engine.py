@@ -61,22 +61,22 @@ There is one scan, ``_scan``, over a set-major stream: for each pair set the
 kind requires (none for gh, kappa-gh and tau-h; the anchor pair for pt-gh and
 bb-gh; each minimal zero-set correspondence for fd-hh), every minimal
 correspondence joined with that set, in enumeration order.  The stream
-length is counted without enumerating (``stream_length``); the scan is
-complete exactly when it fits the budget, and ``explored`` is the smaller of
-the two.  Completeness alone picks the walk.  A cut scan scores the stream's
-first ``budget`` candidates in blocks of ``BLOCK``.  A complete scan walks
-the correspondence tree once per required set: the prefix first holds the
-set's pairs, then the enumerator refuses a prefix whose bound, at most the
-cost of every candidate below it, cannot beat the best candidate held.  The
-bound never decreases as pairs are added: the distortion of the prefix times
-the kind's scale, or the Hausdorff value of the prefix's rho table.  A rho
-prefix bounds all of a node's children in one row at once.  A leaf's prefix
-holds every pair of its candidate, so the bound of its last pair is that
-candidate's cost and the leaf is scored by it.  Without a required set the
-candidates come in lexicographic order, so an equal bound prunes them;
-joined candidates need not, so an equal bound prunes only a subtree whose
-every candidate sorts after the best tuple.  Pruning changes no value,
-certificate or ``explored`` count.
+length is counted without enumerating (``correspondence_count`` times the
+number of sets); the scan is complete exactly when it fits the budget, and
+``explored`` is the smaller of the two.  Completeness alone picks the walk.
+A cut scan scores the stream's first ``budget`` candidates in blocks of
+``BLOCK``.  A complete scan walks the correspondence tree once per required
+set: the prefix first holds the set's pairs, then the enumerator refuses a
+prefix whose bound, at most the cost of every candidate below it, cannot
+beat the best candidate held.  The bound never decreases as pairs are added:
+the distortion of the prefix times the kind's scale, or the Hausdorff value
+of the prefix's rho table.  A rho prefix bounds all of a node's children in
+one row at once.  A leaf's prefix holds every pair of its candidate, so the
+bound of its last pair is that candidate's cost and the leaf is scored by
+it.  Without a required set the candidates come in lexicographic order, so
+an equal bound prunes them; joined candidates need not, so an equal bound
+prunes only a subtree whose every candidate sorts after the best tuple.
+Pruning changes no value, certificate or ``explored`` count.
 """
 
 from __future__ import annotations
@@ -567,17 +567,6 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         anchor=anchor,
         zeros=zeros,
     )
-
-
-def stream_length(kind: DistanceKind, a, b, tol: float = DEFAULT_TOL) -> int:
-    """Candidates a complete scan of `kind` between a and b scores, counted
-    without building or enumerating anything: the minimal correspondences,
-    each once per minimal zero-set correspondence for fd-hh."""
-    total = correspondence_count(_base_of(a).n, _base_of(b).n)
-    if kind is DistanceKind.FD_HH:
-        # The zero set of `structure_report(t, delta=tol)`: tau <= tol.
-        total *= max(1, correspondence_count(*(int((t.tau <= tol).sum()) for t in (a, b))))
-    return total
 
 
 def _joined(pairs, extra):

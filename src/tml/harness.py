@@ -6,6 +6,12 @@ of one inequality; slack = rhs - lhs, and an asserting row passes when
 slack >= -tol.  Observational rows (ratio logging) always pass and exist so
 reports capture the measured constants.
 
+Suites cap nmax at EXACT_NMAX, where the longest stream any scan walks (fd-hh
+with full zero sets, 184 x 184 candidates) is far below the default budget,
+so every campaign scan runs to completion.  Sequence elements grow without
+such a cap: `run_sequence_experiment` refuses, before its first scan, a
+sequence with an element whose scans would not fit its budget.
+
 Trials run one after another in trial order, so a configuration always
 yields the same rows in the same order and byte-identical reports.
 """
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,14 +36,12 @@ from .constructions import (
 from .embeddings import frechet_embed, hausdorff_in, hausdorff_sup, timed_frechet_embed
 from .engine import (
     DEFAULT_BUDGET,
-    DistanceKind,
-    DistanceResult,
     bb_gh,
+    correspondence_count,
     distortion,
     fd_hh,
     gh_distance,
     kappa_gh_distance,
-    stream_length,
     tau_h_distance,
 )
 from .errors import BudgetTooSmall, InvalidSpec
@@ -65,6 +70,8 @@ _SUITE_IDS = {name: k for k, name in enumerate(SUITES[:-1], start=1)}
 
 EXACT_NMAX = 4
 SAMPLE_COUNT = 1000
+# Tolerance of every asserted check: a row passes when slack >= -CHECK_TOL.
+CHECK_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,7 @@ class CampaignConfig:
     trials: int = 100
     nmax: int = 4
     seed: int = 0
-    tol: float = 1e-7
-    budget: int = DEFAULT_BUDGET
+    tol: float = CHECK_TOL
 
 
 def _fields_of(row) -> dict:
@@ -136,24 +142,6 @@ def _make_row(suite, trial, check, a, b, seed, lhs, rhs, tol, asserted=True, **e
     )
 
 
-def _fits(kind: DistanceKind, a, b, budget: int) -> None:
-    """Refuse, before any scanning, an exact scan whose stream is longer than
-    the budget: it could only end cut short."""
-    total = stream_length(kind, a, b)
-    if total > budget:
-        raise BudgetTooSmall(
-            f"{kind.value}: a complete scan needs {total} correspondences, more than "
-            f"the budget of {budget}; raise the budget or lower nmax"
-        )
-
-
-def _complete(kind: DistanceKind, driver, a, b, budget: int) -> DistanceResult:
-    """The exact scan of `kind` by its driver, refused up front unless its
-    stream fits the budget (so it always runs to completion)."""
-    _fits(kind, a, b, budget)
-    return driver(a, b, budget=budget)
-
-
 def _trial_rng(cfg: CampaignConfig, suite: str, trial: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([cfg.seed, _SUITE_IDS[suite], trial])
@@ -209,8 +197,8 @@ def _sandwich_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rng = _trial_rng(cfg, "sandwich", trial)
     x1, m1, s1 = _random_space(rng, cfg.nmax)
     x2, m2, s2 = _random_space(rng, cfg.nmax)
-    gh = _complete(DistanceKind.GH, gh_distance, x1, x2, cfg.budget)
-    kappa = _complete(DistanceKind.KAPPA_GH, kappa_gh_distance, x1, x2, cfg.budget)
+    gh = gh_distance(x1, x2)
+    kappa = kappa_gh_distance(x1, x2)
     row = _chain_row(
         "sandwich",
         trial,
@@ -232,9 +220,9 @@ def _order_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rng = _trial_rng(cfg, "order", trial)
     t1, info1 = _random_timed(rng, cfg.nmax)
     t2, info2 = _random_timed(rng, cfg.nmax)
-    gh = _complete(DistanceKind.GH, gh_distance, t1.base, t2.base, cfg.budget)
-    kappa = _complete(DistanceKind.KAPPA_GH, kappa_gh_distance, t1.base, t2.base, cfg.budget)
-    tau = _complete(DistanceKind.TAU_H, tau_h_distance, t1, t2, cfg.budget)
+    gh = gh_distance(t1.base, t2.base)
+    kappa = kappa_gh_distance(t1.base, t2.base)
+    tau = tau_h_distance(t1, t2)
     row = _chain_row(
         "order",
         trial,
@@ -261,8 +249,8 @@ def _bb_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
         t1, info1 = _random_timed(rng, cfg.nmax, time_model="cone")
         t2, info2 = _random_timed(rng, cfg.nmax, time_model="cone")
         gen = [info1, info2]
-    tau = _complete(DistanceKind.TAU_H, tau_h_distance, t1, t2, cfg.budget)
-    approx = _complete(DistanceKind.BB_GH, bb_gh, t1, t2, cfg.budget)
+    tau = tau_h_distance(t1, t2)
+    approx = bb_gh(t1, t2)
     row = _make_row(
         "bb",
         trial,
@@ -285,8 +273,8 @@ def _fd_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rng = _trial_rng(cfg, "fd", trial)
     t1, info1 = _random_timed(rng, cfg.nmax, time_model="set-cone")
     t2, info2 = _random_timed(rng, cfg.nmax, time_model="set-cone")
-    tau = _complete(DistanceKind.TAU_H, tau_h_distance, t1, t2, cfg.budget)
-    approx = _complete(DistanceKind.FD_HH, fd_hh, t1, t2, cfg.budget)
+    tau = tau_h_distance(t1, t2)
+    approx = fd_hh(t1, t2)
     row = _make_row(
         "fd",
         trial,
@@ -312,7 +300,7 @@ def _limits_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     # Bang side: X exactly big bang, Y with a nonempty exact zero set.
     x_bb, info_x = _random_timed(rng, cfg.nmax, time_model="cone")
     y1, info_y1 = _random_timed(rng, cfg.nmax, time_model="set-cone")
-    eps = _complete(DistanceKind.TAU_H, tau_h_distance, x_bb, y1, cfg.budget).upper
+    eps = tau_h_distance(x_bb, y1).upper
     report = structure_report(y1, delta=0.0)
     zeros = np.array(report.zero_set, dtype=int)
     spread = float(np.abs(y1.tau[None, :] - y1.d[zeros, :]).max())
@@ -342,7 +330,7 @@ def _limits_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     # Developed side: X exactly future developed, Y arbitrary.
     x_fd, info_x2 = _random_timed(rng, cfg.nmax, time_model="set-cone")
     y2, info_y2 = _random_timed(rng, cfg.nmax, time_model="mcshane")
-    eps2 = _complete(DistanceKind.TAU_H, tau_h_distance, x_fd, y2, cfg.budget).upper
+    eps2 = tau_h_distance(x_fd, y2).upper
     admissible = y2.tau <= eps2 + cfg.tol
     if admissible.any():
         gaps = np.abs(y2.tau[None, :] - y2.d[admissible, :])
@@ -389,7 +377,7 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     t2, info2 = _random_timed(rng, cfg.nmax)
     rows = []
 
-    kappa = _complete(DistanceKind.KAPPA_GH, kappa_gh_distance, x1, x2, cfg.budget)
+    kappa = kappa_gh_distance(x1, x2)
     e1, e2 = enumerations_from_correspondence(kappa.certificate)
     cert = hausdorff_sup(frechet_embed(x1, e1), frechet_embed(x2, e2))
     rows.append(
@@ -400,7 +388,7 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
         )
     )
 
-    tau = _complete(DistanceKind.TAU_H, tau_h_distance, t1, t2, cfg.budget)
+    tau = tau_h_distance(t1, t2)
     f1, f2 = enumerations_from_correspondence(tau.certificate)
     tcert = hausdorff_sup(timed_frechet_embed(t1, f1), timed_frechet_embed(t2, f2))
     rows.append(
@@ -411,7 +399,7 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
         )
     )
 
-    gh = _complete(DistanceKind.GH, gh_distance, x1, x2, cfg.budget)
+    gh = gh_distance(x1, x2)
     dis = distortion(gh.certificate, x1, x2)
     delta = max(dis / 2.0, 10.0 * DEFAULT_TOL)
     glued = glue_by_correspondence(x1, x2, gh.certificate, delta)
@@ -452,9 +440,9 @@ def _triangle_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     ta, info_a = _random_timed(rng, cfg.nmax)
     tb, info_b = _random_timed(rng, cfg.nmax)
     tc, info_c = _random_timed(rng, cfg.nmax)
-    v_ab = _complete(DistanceKind.TAU_H, tau_h_distance, ta, tb, cfg.budget).upper
-    v_bc = _complete(DistanceKind.TAU_H, tau_h_distance, tb, tc, cfg.budget).upper
-    v_ac = _complete(DistanceKind.TAU_H, tau_h_distance, ta, tc, cfg.budget).upper
+    v_ab = tau_h_distance(ta, tb).upper
+    v_bc = tau_h_distance(tb, tc).upper
+    v_ac = tau_h_distance(ta, tc).upper
     denom = v_ab + v_bc
     ratio = v_ac / denom if denom > 0 else (0.0 if v_ac == 0 else math.inf)
     row = _make_row(
@@ -480,8 +468,12 @@ _TRIAL_BODIES = {
 def _check_config(cfg: CampaignConfig) -> None:
     if cfg.suite not in SUITES:
         raise InvalidSpec(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITES)}")
-    if cfg.trials < 1 or cfg.nmax < 1 or not 0 < cfg.tol < math.inf:
-        raise InvalidSpec("trials and nmax must be >= 1 and tol finite and > 0")
+    for name, least in (("trials", 1), ("nmax", 1), ("seed", 0)):
+        value = getattr(cfg, name)
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+    if not 0 < cfg.tol < math.inf:
+        raise InvalidSpec(f"tol must be finite and > 0, got {cfg.tol!r}")
     if cfg.nmax > EXACT_NMAX:
         raise BudgetTooSmall(
             f"suites need exact distances, which caps nmax at {EXACT_NMAX} "
@@ -529,93 +521,67 @@ class SequenceRow:
         return _fields_of(self)
 
 
-_SEQUENCE_KINDS = (DistanceKind.GH, DistanceKind.TAU_H, DistanceKind.BB_GH)
-
-
-def run_sequence_experiment(
-    spec: SequenceSpec,
-    kinds=None,
-    tol: float = 1e-7,
-    budget: int = DEFAULT_BUDGET,
-) -> list[SequenceRow]:
+def run_sequence_experiment(spec: SequenceSpec, budget: int = DEFAULT_BUDGET) -> list[SequenceRow]:
     """Distances from each element to the limit, with per-row decay checks.
 
-    Checks applied (each only when its inputs are available): gh <= tau-h;
-    tau-h <= 2 * bb-gh upper when both spaces are exactly big bang; the decay
-    envelope tau-h(T_j) <= C * rate^j, where C is calibrated from the first
-    element for the noise family and from the base's latest time for the
-    time-collapse family; a nonincreasing tau-h envelope for the refinement
-    family.
+    Checks applied: gh <= tau-h; tau-h <= 2 * bb-gh upper when both spaces
+    are exactly big bang; the decay envelope tau-h(T_j) <= C * rate^j, where
+    C is calibrated from the first element for the noise family and from the
+    base's latest time for the time-collapse family; a nonincreasing tau-h
+    envelope for the refinement family.
+
+    gh, tau-h and bb-gh each scan every minimal correspondence between an
+    element and the limit once, so an element whose count exceeds the budget
+    is refused before the first scan runs: every scan runs to completion.
     """
-    kinds = _SEQUENCE_KINDS if kinds is None else tuple(DistanceKind(k) for k in kinds)
     elements, limit = build_sequence(spec)
+    for element in elements:
+        total = correspondence_count(element.n, limit.n)
+        if total > budget:
+            raise BudgetTooSmall(
+                f"gh: a complete scan needs {total} correspondences, more than "
+                f"the budget of {budget}; raise the budget or lower nmax"
+            )
     limit_is_bb = classify(limit) is SpaceClass.BIG_BANG
-
-    def scans(element):
-        """The exact scans of one element against the limit, keyed by column."""
-        out = {}
-        if DistanceKind.GH in kinds:
-            out["gh"] = (DistanceKind.GH, gh_distance, element.base, limit.base)
-        out["tau"] = (DistanceKind.TAU_H, tau_h_distance, element, limit)
-        if (
-            DistanceKind.BB_GH in kinds
-            and limit_is_bb
-            and classify(element) is SpaceClass.BIG_BANG
-        ):
-            out["bb"] = (DistanceKind.BB_GH, bb_gh, element, limit)
-        return out
-
-    # Every scan of the sequence must fit the budget before the first one
-    # runs, so each then runs to completion.
-    plans = [scans(element) for element in elements]
-    for plan in plans:
-        for kind, _, a, b in plan.values():
-            _fits(kind, a, b, budget)
-    measured = [
-        (j, element, structure_report(element, delta=0.0),
-         {key: driver(a, b, budget=budget) for key, (_, driver, a, b) in plan.items()})
-        for j, (element, plan) in enumerate(zip(elements, plans))
-    ]
-
-    if spec.family == "perturb-geometric":
-        calibration = measured[0][3]["tau"].upper
-    elif spec.family == "collapse-time":
-        calibration = spec.base.tau_max
-    else:
-        calibration = None
+    calibration = spec.base.tau_max if spec.family == "collapse-time" else None
 
     rows: list[SequenceRow] = []
     previous_tau = math.inf
-    for j, element, report, values in measured:
-        tau = values["tau"].upper
-        checks: dict[str, float] = {}
-        if "gh" in values:
-            checks["gh<=tau-h"] = tau - values["gh"].upper
-        if "bb" in values:
-            checks["tau-h<=2*bb-upper"] = 2.0 * values["bb"].upper - tau
+    for j, element in enumerate(elements):
+        report = structure_report(element, delta=0.0)
+        space_class = classify(element)
+        gh = gh_distance(element.base, limit.base, budget=budget)
+        tau = tau_h_distance(element, limit, budget=budget).upper
+        bb = None
+        checks = {"gh<=tau-h": tau - gh.upper}
+        if limit_is_bb and space_class is SpaceClass.BIG_BANG:
+            bb = bb_gh(element, limit, budget=budget)
+            checks["tau-h<=2*bb-upper"] = 2.0 * bb.upper - tau
+        if spec.family == "perturb-geometric" and j == 0:
+            calibration = tau
         if calibration is not None:
             bound = calibration * spec.rate**j
             checks["decay-envelope"] = bound - tau
         else:
             bound = tau if j == 0 else previous_tau
             checks["nonincreasing"] = bound - tau
-        slack = min(checks.values()) if checks else 0.0
+        slack = min(checks.values())
         rows.append(
             SequenceRow(
                 family=spec.family,
                 j=j,
                 n=element.n,
-                space_class=classify(element).value,
+                space_class=space_class.value,
                 fd_defect=float(report.fd_defect),
                 bb_defect=float(report.bb_defect),
-                gh_lower=float(values["gh"].lower) if "gh" in values else math.nan,
-                gh_upper=float(values["gh"].upper) if "gh" in values else math.nan,
+                gh_lower=float(gh.lower),
+                gh_upper=float(gh.upper),
                 tau_h=float(tau),
-                bb_gh_lower=float(values["bb"].lower) if "bb" in values else None,
-                bb_gh_upper=float(values["bb"].upper) if "bb" in values else None,
+                bb_gh_lower=None if bb is None else float(bb.lower),
+                bb_gh_upper=None if bb is None else float(bb.upper),
                 bound=float(bound),
                 slack=float(slack),
-                passed=bool(slack >= -tol),
+                passed=bool(slack >= -CHECK_TOL),
                 details=_details(
                     checks={k: float(v) for k, v in checks.items()},
                     rate=spec.rate,

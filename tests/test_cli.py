@@ -197,6 +197,14 @@ def test_campaign_rejects_oversize_nmax(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_campaign_rejects_a_negative_seed(tmp_path, capsys):
+    code, out, err = run(capsys, "campaign", "--suite", "order", "--trials", "1",
+                         "--seed", "-1", "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_campaign_reports_failures(tmp_path, capsys, monkeypatch):
     bad_row = ReportRow(
         suite="sandwich", trial=0, check="gh<=kappa<=2gh", n1=2, n2=2,

@@ -163,6 +163,32 @@ def test_sequence_spec_validation():
         tml.build_sequence(tml.SequenceSpec("collapse-time", base, 3, 1.0, 0))
     with pytest.raises(InvalidSpec):
         tml.build_sequence(tml.SequenceSpec("refine-bb-cone", tml.make_future_developed(bb_base().base, [0, 1]), 3, 0.5, 0))
+    for family in tml.SEQUENCE_FAMILIES:
+        with pytest.raises(InvalidSpec, match="^length must be an integer"):
+            tml.build_sequence(tml.SequenceSpec(family, base, 2.5, 0.5, 0))
+        with pytest.raises(InvalidSpec, match="^seed must be an integer"):
+            tml.build_sequence(tml.SequenceSpec(family, base, 3, 0.5, -1))
+
+
+def loop_triangle_margin(d):
+    margin = np.inf
+    for i in range(d.shape[0]):
+        for k in range(d.shape[0]):
+            if i == k:
+                continue
+            for j in range(d.shape[0]):
+                if j == i or j == k:
+                    continue
+                margin = min(margin, (d[i, j] + d[j, k] - d[i, k]) / d[i, k])
+    return float(margin)
+
+
+@pytest.mark.parametrize("model", ["euclidean", "graph"])
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_triangle_margin_matches_the_loop(model, n):
+    for seed in range(4):
+        d = tml.random_metric_space(seed, n, model=model).d
+        assert tml.constructions._triangle_margin(d) == loop_triangle_margin(d), (seed,)
 
 
 def test_perturb_family_preserves_class_and_decays():

@@ -115,10 +115,13 @@ def test_stream_length_counts_zero_set_correspondences():
     x1, x2 = spaces_for(3, 4, 5)
     a = tml.random_time_function(1, x1, model="set-cone", subset_size=2)
     b = tml.random_time_function(2, x2, model="set-cone", subset_size=3)
-    assert tml.stream_length(tml.DistanceKind.GH, x1, x2) == 680
-    assert tml.stream_length(tml.DistanceKind.BB_GH, a, b) == 680
+    # A complete scan explores its whole stream: the minimal correspondences,
+    # each once per minimal zero-set correspondence for fd-hh.
+    assert tml.correspondence_count(4, 5) == 680
+    assert tml.gh_distance(x1, x2).explored == 680
+    assert tml.tau_h_distance(a, b).explored == 680
     # 2 x 3 zero sets have 6 minimal correspondences.
-    assert tml.stream_length(tml.DistanceKind.FD_HH, a, b) == 680 * 6
+    assert tml.correspondence_count(2, 3) == 6
     assert tml.fd_hh(a, b).explored == 680 * 6
 
 
@@ -542,8 +545,7 @@ def test_distance_rejects_a_fractional_budget(n):
                          ids=lambda k: k.value)
 def test_one_structure_report_per_side(kind, monkeypatch, worked_bb_pair):
     # The class check and the anchor (bb-gh) or zero sets (fd-hh) share one
-    # report per side, and counting the stream, as the harness does before
-    # every exact scan, takes none.
+    # report per side.
     calls = []
     real = tml.spaces.structure_report
 
@@ -554,8 +556,7 @@ def test_one_structure_report_per_side(kind, monkeypatch, worked_bb_pair):
     monkeypatch.setattr(tml.spaces, "structure_report", counted)
     monkeypatch.setattr(tml.engine, "structure_report", counted)
     t1, t2 = worked_bb_pair
-    assert tml.stream_length(kind, t1, t2) == 1
-    DRIVERS[kind](t1, t2, None)
+    assert DRIVERS[kind](t1, t2, None).explored == 1
     assert calls == [t1, t2]
 
 
@@ -655,7 +656,7 @@ def test_budgets_at_block_boundaries(kind):
         plain = lambda corr: tml.engine.fd_glued_objective(corr, a, b, z1, z2)
     minimal = [c.pairs for c in tml.minimal_correspondences(5, 5)]
     stream = [tuple(sorted(set(pairs) | set(extra))) for extra in sets for pairs in minimal]
-    assert len(stream) == 2945 * len(sets) == tml.stream_length(kind, x, y)
+    assert len(stream) == 2945 * len(sets) == tml.correspondence_count(5, 5) * len(sets)
     assert len(sets) == (2 if kind is K.FD_HH else 1)
     values = [plain(tml.make_correspondence(5, 5, p)) for p in stream]
     floor = tml.simple_lower_bounds(kind, x, y)

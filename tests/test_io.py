@@ -196,13 +196,3 @@ def test_write_report_jsonl_is_strict_json(tmp_path):
     }
     tml.write_report(rows, tmp_path / "report.csv", fmt="csv")
     assert (tmp_path / "report.csv").read_text().splitlines()[1] == "inf,nan,-inf,nan,0.5"
-
-    # Sequence rows carry nan for gh when it is not requested.
-    spec = tml.SequenceSpec(
-        "collapse-time", tml.make_future_developed(tml.random_metric_space(3, 3), [0]),
-        length=2, rate=0.5, seed=0,
-    )
-    rows = [r.as_dict() for r in tml.run_sequence_experiment(spec, kinds=["tau-h"])]
-    tml.write_report(rows, target, fmt="jsonl")
-    parsed = [json.loads(line, parse_constant=reject) for line in target.read_text().splitlines()]
-    assert [row["gh_upper"] for row in parsed] == ["nan", "nan"]
