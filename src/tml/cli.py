@@ -28,7 +28,7 @@ from .errors import (
     TmlError,
     ValidationError,
 )
-from .harness import CHECK_TOL, SUITES, CampaignConfig, run_sequence_experiment, run_suite
+from .harness import SUITES, CampaignConfig, run_sequence_experiment, run_suite
 from .io import read_space, write_report, write_space
 from .spaces import DEFAULT_TOL, TimedMetricSpace, classify, structure_report
 
@@ -163,13 +163,7 @@ def _report(rows, args, title: str, describe) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    cfg = CampaignConfig(
-        suite=args.suite,
-        trials=args.trials,
-        nmax=args.nmax,
-        seed=args.seed,
-        tol=args.tol,
-    )
+    cfg = CampaignConfig(suite=args.suite, trials=args.trials, nmax=args.nmax, seed=args.seed)
     return _report(
         run_suite(cfg), args, f"suite {args.suite}",
         lambda r: f"suite={r.suite}, trial={r.trial}, check={r.check}, seed={r.seed}, "
@@ -236,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=CHECK_TOL)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.set_defaults(func=_cmd_campaign)

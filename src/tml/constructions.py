@@ -204,10 +204,12 @@ class SequenceSpec:
 def _check_spec(spec: SequenceSpec) -> None:
     if spec.family not in SEQUENCE_FAMILIES:
         raise InvalidSpec(f"unknown family {spec.family!r}")
-    if not isinstance(spec.length, numbers.Integral) or spec.length < 1:
-        raise InvalidSpec(f"length must be an integer >= 1, got {spec.length!r}")
-    if not isinstance(spec.seed, numbers.Integral) or spec.seed < 0:
-        raise InvalidSpec(f"seed must be an integer >= 0, got {spec.seed!r}")
+    for name, least in (("length", 1), ("seed", 0)):
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+    if isinstance(spec.rate, bool) or not isinstance(spec.rate, numbers.Real):
+        raise InvalidSpec(f"rate must be a real number, got {spec.rate!r}")
     if not (0.0 < spec.rate < 1.0):
         raise InvalidSpec("rate must lie strictly between 0 and 1")
 

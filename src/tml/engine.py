@@ -30,6 +30,12 @@ correspondences that hold the anchor or cover the zero sets.  A complete
 scan certifies the 2-approximation [upper / 2, upper], tightened from below
 by simple bounds; a scan cut short by its budget, only the simple bounds.
 
+Inside the engine a relation is the sorted tuple of its pair ids, a * n2 + b
+for pair (a, b), which order as the pairs do.  Pairs appear only at the
+boundaries: the inputs of ``_objective`` and local search's starts, the
+certificate ``_result`` decodes and the public ``minimal_correspondences``
+stream.
+
 Each kind is one objective record (``_objective``): its inputs checked, the
 table of its cost family, its batched cost and prefix bound, and the pair sets
 every candidate must contain.  ``distance`` is the one entry behind the six
@@ -38,8 +44,8 @@ drivers: one scan and one result assembler serve every kind and
 independent check of certificates.
 
 A scan cut by its budget scores candidates in blocks, one numpy call chain
-per block.  A block is a table of pair ids, one row per candidate; rows
-shorter than the longest repeat their first pair.  Every cost is a max over
+per block.  A block is a table of pair ids, one row per candidate's id tuple;
+rows shorter than the longest repeat their first id.  Every cost is a max over
 the row's pairs (distortion or the profile-gap table rho), and a repeated
 pair changes no max, so padding needs no sentinel and no mask.  Distortion
 is a running max over row positions, so no block x k x k table is built.
@@ -54,8 +60,8 @@ add: every cost is monotone in the relation, so an added pair never lowers
 it.  Each neighbour is the relation with one id taken out and one put in, so
 its cost is the cost of the relation without that slot, computed once per
 slot, joined with the new id's entries: the same max over the same floats,
-bit for bit.  Ties go to the smallest tuple among the tied rows, each read
-back as the set of its ids.
+bit for bit.  Ties go to the smallest id tuple among the tied rows, each
+read back as the set of its ids.
 
 There is one scan, ``_scan``, over a set-major stream: for each pair set the
 kind requires (none for gh, kappa-gh and tau-h; the anchor pair for pt-gh and
@@ -161,8 +167,9 @@ def transpose(corr: Correspondence) -> Correspondence:
     return Correspondence(n1=corr.n2, n2=corr.n1, pairs=flipped, minimal=corr.minimal)
 
 
-def _minimal_pair_tuples(n1: int, n2: int, admit=None, retract=None):
-    """Yield the sorted pair tuple of every minimal correspondence exactly once.
+def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, prefix=None):
+    """Yield every minimal correspondence exactly once, as the sorted tuple of
+    its pair ids (a * n2 + b for pair (a, b)).  Ids order as pairs do.
 
     Rows are processed in order; each row picks a nonempty column set in one
     loop over its columns, recursing into each column it takes and ending the
@@ -173,24 +180,26 @@ def _minimal_pair_tuples(n1: int, n2: int, admit=None, retract=None):
     minimality demands.  The last row must take every column no earlier row
     covers, so its loop returns at the first one it would leave uncovered.
 
-    A scan prunes through `admit(r, c)`: called before pair (r, c) joins the
-    prefix, it may refuse the whole subtree below; `retract()` follows every
-    admitted pair when the recursion backs out of it.  A tuple is yielded
-    right after its last pair is admitted: the last row yields only from a
-    loop that admitted nothing, because backing out of a column it took
-    leaves that column uncovered or the row empty.
+    The ids taken so far are kept in the list `prefix`, which a caller may
+    pass in (empty) to read it.  A scan prunes through `admit(p)`: called
+    before id p joins the prefix, it may refuse the whole subtree below;
+    `retract()` follows every admitted id when the recursion backs out of it.
+    A tuple is yielded right after its last id is admitted: the last row
+    yields only from a loop that admitted nothing, because backing out of a
+    column it took leaves that column uncovered or the row empty.
     """
     col_deg = [0] * n2
     frozen = [False] * n2
-    prefix: list[tuple[int, int]] = []
+    prefix = [] if prefix is None else prefix
 
     def row(r: int, start: int, chosen: list[int]):
         last = r == n1 - 1
+        base = r * n2
         for c in range(start, n2):
             takeable = col_deg[c] == 0 and col_deg[chosen[0]] == 0 if chosen else not frozen[c]
-            if takeable and (admit is None or admit(r, c)):
+            if takeable and (admit is None or admit(base + c)):
                 chosen.append(c)
-                prefix.append((r, c))
+                prefix.append(base + c)
                 yield from row(r, c + 1, chosen)
                 prefix.pop()
                 chosen.pop()
@@ -240,11 +249,15 @@ def correspondence_count(n1: int, n2: int) -> int:
 
 def minimal_correspondences(n1: int, n2: int, budget: int | None = None):
     """Stream every minimal correspondence, truncating after `budget` emissions."""
-    stream = _minimal_pair_tuples(n1, n2)
-    if budget is not None:
-        stream = islice(stream, budget)
-    for pairs in stream:
-        yield Correspondence(n1=n1, n2=n2, pairs=pairs, minimal=True)
+    if budget is not None and (
+        isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 0
+    ):
+        raise ValueError(f"budget must be None or an integer >= 0, got {budget!r}")
+    pairs = [(a, b) for a in range(n1) for b in range(n2)]
+    return (
+        Correspondence(n1=n1, n2=n2, pairs=tuple(map(pairs.__getitem__, ids)), minimal=True)
+        for ids in islice(_minimal_id_tuples(n1, n2), budget)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +370,14 @@ class DistanceResult:
     zero_pairs: tuple[tuple[int, int], ...] | None = None
 
 
-def _pair_ids(block, n2: int) -> np.ndarray:
-    """Pair ids (a * n2 + b for pair (a, b)) of a block of sorted pair tuples,
-    one row per tuple, each row padded to the longest by repeating its first
-    pair."""
+def _padded(block) -> np.ndarray:
+    """A block of id tuples as one table, each row padded to the longest by
+    repeating its first id."""
     width = max(map(len, block), default=1)
-    padded = [p + p[:1] * (width - len(p)) for p in block]
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(padded)), dtype=np.intp,
-                       count=2 * width * len(block)).reshape(len(block), width, 2)
-    return flat[:, :, 0] * n2 + flat[:, :, 1]
+    padded = [t + t[:1] * (width - len(t)) for t in block]
+    # One flat fromiter reads a block about 20% faster than np.array(padded).
+    flat = np.fromiter(chain.from_iterable(padded), dtype=np.intp, count=width * len(block))
+    return flat.reshape(len(block), width)
 
 
 def _base_of(space) -> FiniteMetricSpace:
@@ -392,7 +404,7 @@ class _Objective:
     or the Hausdorff value of the profile-gap table rho (kappa-gh, and tau-h
     with the time gap joined in).
 
-    `costs` maps a block (a list) of sorted pair tuples to the array of their
+    `costs` maps a block (a list) of sorted id tuples to the array of their
     per-correspondence costs.  `move_costs(cur, slot, table)` scores one
     local-search step: row m of the pair id table is the relation `cur`
     (sorted pair ids) with the id at slot[m] taken out and the row's last id
@@ -405,10 +417,10 @@ class _Objective:
     batches: the first `extend(p)` below a prefix bounds ids p to the end of
     p's row in one numpy call, and later siblings in that range read their
     table and bound from it.
-    `required` holds the pair sets a candidate must contain, the stream
-    running once per set: none for gh/kappa-gh/tau-h, the basepoint pair for
-    pt-gh/bb-gh, every minimal zero-set correspondence for fd-hh.  `floor` is
-    the kind's simple lower bound.
+    `required` holds the pair sets a candidate must contain, each as a sorted
+    id tuple, the stream running once per set: none for gh/kappa-gh/tau-h,
+    the basepoint pair for pt-gh/bb-gh, every minimal zero-set correspondence
+    for fd-hh.  `floor` is the kind's simple lower bound.
     """
 
     kind: DistanceKind
@@ -417,7 +429,7 @@ class _Objective:
     costs: Callable[[list], np.ndarray]
     move_costs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     prefix: Callable[[], tuple[Callable[[int], float], Callable[[], None]]]
-    required: tuple[tuple[tuple[int, int], ...], ...]
+    required: tuple[tuple[int, ...], ...]
     floor: float
     anchor: tuple[int, int] | None = None
     zeros: tuple[list[int], list[int]] | None = None
@@ -461,14 +473,16 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
             anchor = (z1[0], z2[0])
         else:
             zeros = (z1, z2)
+            # Id q between the zero sets is the pair of z1 x z2 at index q.
+            zero_ids = [p * x2.n + q for p in z1 for q in z2]
             required = tuple(
-                tuple((z1[i], z2[j]) for i, j in zp) for zp in _minimal_pair_tuples(len(z1), len(z2))
+                tuple(map(zero_ids.__getitem__, zp)) for zp in _minimal_id_tuples(len(z1), len(z2))
             )
     elif kind not in (DistanceKind.GH, DistanceKind.KAPPA_GH, DistanceKind.TAU_H):
         raise ValueError(f"unknown distance kind {kind!r}")
-    if anchor is not None:
-        required = ((anchor,),)
     n2 = x2.n
+    if anchor is not None:
+        required = ((anchor[0] * n2 + anchor[1],),)
     rows, cols = np.repeat(np.arange(x1.n), n2), np.tile(np.arange(n2), x1.n)
 
     if kind in (DistanceKind.KAPPA_GH, DistanceKind.TAU_H):
@@ -479,7 +493,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
                else np.zeros((x1.n, n2)))
 
         def costs(block):
-            ids = _pair_ids(block, n2)
+            ids = _padded(block)
             table = np.maximum(rho, C[ids[:, 0]])
             for j in range(1, ids.shape[1]):
                 np.maximum(table, C[ids[:, j]], out=table)
@@ -526,7 +540,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         DIS = np.abs(x1.d[np.ix_(rows, rows)] - x2.d[np.ix_(cols, cols)]) * scale
 
         def costs(block):
-            ids = _pair_ids(block, n2)
+            ids = _padded(block)
             out = DIS[ids[:, :1], ids].max(axis=1)
             for j in range(1, ids.shape[1]):
                 np.maximum(out, DIS[ids[:, j : j + 1], ids].max(axis=1), out=out)
@@ -569,10 +583,10 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     )
 
 
-def _joined(pairs, extra):
+def _joined(ids, extra):
     """The candidate a minimal correspondence stands for under one required
-    pair set: its sorted pair tuple joined with the set."""
-    return tuple(sorted(set(pairs).union(extra))) if extra else pairs
+    pair set: its sorted id tuple joined with the set's ids."""
+    return tuple(sorted(set(ids).union(extra))) if extra else ids
 
 
 def _least(block: list, values: np.ndarray):
@@ -598,12 +612,12 @@ def _scan(obj: _Objective, total: int, budget: int):
     `may_precede` shows that every candidate below sorts after the best
     tuple.
     """
-    best, best_pairs = math.inf, None
+    best, best_ids = math.inf, None
     n1, n2 = obj.n1, obj.n2
     sets = obj.required or ((),)
     if total > budget:
         stream = chain.from_iterable(
-            (_joined(pairs, extra) for pairs in _minimal_pair_tuples(n1, n2)) for extra in sets
+            (_joined(ids, extra) for ids in _minimal_id_tuples(n1, n2)) for extra in sets
         )
         stream = islice(stream, budget)
         blocks = iter(lambda: list(islice(stream, BLOCK)), [])
@@ -611,63 +625,60 @@ def _scan(obj: _Objective, total: int, budget: int):
     else:
         extend, undo = obj.prefix()
         exact = obj.exact
-        held: list[int] = []  # the pair ids of the set being walked
-        path: list[int] = []
-        last = math.inf  # the bound of the pair admitted last
+        held = ()  # the ids of the set being walked
+        prefix: list[int] = []  # the enumerator's ids taken so far
+        last = math.inf  # the bound of the id admitted last
 
         def may_precede(p):
-            """Whether a candidate below the path plus pair id p can sort
-            before the best tuple.  Pair ids order as pairs do, and every pair
-            added below is above p, so such a candidate starts with `lead`:
-            the path, p and the held ids below p."""
-            lead = sorted({*path, p, *(e for e in held if e < p)})
-            return lead <= [a * n2 + b for a, b in best_pairs[: len(lead)]]
+            """Whether a candidate below the prefix plus id p can sort before
+            the best tuple.  Every id added below is above p, so such a
+            candidate starts with `lead`: the prefix, p and the held ids
+            below p."""
+            lead = tuple(sorted({*prefix, p, *(e for e in held if e < p)}))
+            return lead <= best_ids[: len(lead)]
 
-        def admit(r, c):
+        def admit(p):
             nonlocal last
-            p = r * n2 + c
             bound = extend(p)
             if bound > best or (bound == best and (exact or not may_precede(p))):
                 undo()
                 return False
-            path.append(p)
             last = bound
             return True
 
-        def retract():
-            undo()
-            path.pop()
-
         def walk(extra):
-            held[:] = [a * n2 + b for a, b in extra]
+            nonlocal held
+            held = extra
             for p in held:
                 extend(p)
-            for pairs in _minimal_pair_tuples(n1, n2, admit, retract):
-                # A leaf comes right after its last pair is admitted, and its
-                # prefix holds every pair of its candidate: the bound of that
-                # pair is the candidate's cost.
-                yield last, _joined(pairs, extra)
+            for ids in _minimal_id_tuples(n1, n2, admit, undo, prefix):
+                # A leaf comes right after its last id is admitted, and its
+                # prefix holds every id of its candidate: the bound of that
+                # id is the candidate's cost.
+                yield last, _joined(ids, extra)
             for _ in held:
                 undo()
 
         found = chain.from_iterable(map(walk, sets))
     for value, cand in found:
-        if value < best or (value == best and cand < best_pairs):
-            best, best_pairs = value, cand
-    return best, best_pairs
+        if value < best or (value == best and cand < best_ids):
+            best, best_ids = value, cand
+    return best, best_ids
 
 
-def _result(obj: _Objective, value, pairs, explored, complete, exhausted=False) -> DistanceResult:
-    """Assemble the certified interval for the best candidate found.  Only a
-    complete scan certifies its least cost (exact kinds) or half of it (the
-    2-approximations); otherwise the simple bounds alone certify lower."""
-    upper = math.inf if pairs is None else float(value)
+def _result(obj: _Objective, value, ids, explored, complete, exhausted=False) -> DistanceResult:
+    """Assemble the certified interval for the best candidate found, given
+    by its sorted id tuple.  Only a complete scan certifies its least cost
+    (exact kinds) or half of it (the 2-approximations); otherwise the simple
+    bounds alone certify lower."""
+    upper = math.inf if ids is None else float(value)
     if complete:
         lower = upper if obj.exact else min(max(obj.floor, upper / 2.0), upper)
     else:
         lower = min(obj.floor, upper)
     cert = zero_pairs = None
-    if pairs is not None:
+    if ids is not None:
+        pairs = tuple(divmod(p, obj.n2) for p in ids)
         cert = Correspondence(n1=obj.n1, n2=obj.n2, pairs=pairs, minimal=pairs_are_minimal(pairs))
         if obj.zeros is not None:
             z1, z2 = set(obj.zeros[0]), set(obj.zeros[1])
@@ -697,15 +708,15 @@ def distance(
     candidate stream with a deterministic lexicographic tie-break, counting
     evaluations against the budget.  `tol` is the classification tolerance of
     bb-gh and fd-hh; `basepoints` is the pt-gh basepoint pair."""
-    if not isinstance(budget, numbers.Integral):
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
         raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     obj = _objective(kind, a, b, tol, basepoints)
     total = correspondence_count(obj.n1, obj.n2) * max(1, len(obj.required))
-    value, pairs = _scan(obj, total, budget)
+    value, ids = _scan(obj, total, budget)
     complete = total <= budget
-    return _result(obj, value, pairs, min(total, budget), complete, not complete)
+    return _result(obj, value, ids, min(total, budget), complete, not complete)
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +873,7 @@ def local_search_upper(
     tolerance of bb-gh and fd-hh.
     """
     for name, value in (("seed", seed), ("iterations", iterations)):
-        if not isinstance(value, numbers.Integral) or value < 0:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     obj = _objective(kind, a, b, tol, basepoints)
     n1, n2, zeros = obj.n1, obj.n2, obj.zeros
@@ -885,17 +896,17 @@ def local_search_upper(
         return pairs
 
     best_value = math.inf
-    best_pairs = None
+    best_ids = None
     explored = 0
     starts = [start({(i, i % n2) for i in range(n1)} | {(j % n1, j) for j in range(n2)})]
     for _ in range(3):
         rows = {(i, int(rng.integers(n2))) for i in range(n1)}
         starts.append(start(rows | {(int(rng.integers(n1)), j) for j in range(n2)}))
     for current in starts:
-        key = tuple(sorted(current))
+        key = tuple(sorted(p * n2 + q for p, q in current))
         value = obj.costs([key])[0]
         explored += 1
-        cur = np.array([p * n2 + q for p, q in key], dtype=np.intp)
+        cur = np.array(key, dtype=np.intp)
         for _ in range(iterations):
             slot, table = _neighbours(cur, n1, n2, pinned_id, in_z1, in_z2)
             if not len(table):
@@ -906,13 +917,12 @@ def local_search_upper(
             if low >= value:
                 break
             # Rows differ in length: a tied row's set of ids is its relation.
-            ids = min(tuple(sorted(set(row))) for row in table[values == low].tolist())
-            cur, value = np.array(ids, dtype=np.intp), low
-            key = tuple(divmod(p, n2) for p in ids)
-        if value < best_value or (value == best_value and key < best_pairs):
-            best_value, best_pairs = value, key
+            key = min(tuple(sorted(set(row))) for row in table[values == low].tolist())
+            cur, value = np.array(key, dtype=np.intp), low
+        if value < best_value or (value == best_value and key < best_ids):
+            best_value, best_ids = value, key
 
-    return _result(obj, best_value, best_pairs, explored, complete=False)
+    return _result(obj, best_value, best_ids, explored, complete=False)
 
 
 def require_exact(result: DistanceResult) -> DistanceResult:

@@ -3,8 +3,8 @@
 Every suite draws its spaces from the seeded generators, computes exact
 distances, and emits self-contained report rows.  A row records the two sides
 of one inequality; slack = rhs - lhs, and an asserting row passes when
-slack >= -tol.  Observational rows (ratio logging) always pass and exist so
-reports capture the measured constants.
+slack >= -CHECK_TOL.  Observational rows (ratio logging) always pass and exist
+so reports capture the measured constants.
 
 Suites cap nmax at EXACT_NMAX, where the longest stream any scan walks (fd-hh
 with full zero sets, 184 x 184 candidates) is far below the default budget,
@@ -80,7 +80,6 @@ class CampaignConfig:
     trials: int = 100
     nmax: int = 4
     seed: int = 0
-    tol: float = CHECK_TOL
 
 
 def _fields_of(row) -> dict:
@@ -121,7 +120,7 @@ def _details(**kwargs) -> str:
     return json.dumps(kwargs, sort_keys=True, default=np.generic.item)
 
 
-def _make_row(suite, trial, check, a, b, seed, lhs, rhs, tol, asserted=True, **extra):
+def _make_row(suite, trial, check, a, b, seed, lhs, rhs, asserted=True, **extra):
     lhs = float(lhs)
     rhs = float(rhs)
     slack = rhs - lhs
@@ -137,7 +136,7 @@ def _make_row(suite, trial, check, a, b, seed, lhs, rhs, tol, asserted=True, **e
         lhs=lhs,
         rhs=rhs,
         slack=slack,
-        passed=bool(slack >= -tol) if asserted else True,
+        passed=bool(slack >= -CHECK_TOL) if asserted else True,
         details=_details(**extra),
     )
 
@@ -184,13 +183,11 @@ def _worked_bb_pair() -> tuple[TimedMetricSpace, TimedMetricSpace]:
 # Per-suite trial bodies.  Each returns the rows for one trial.
 
 
-def _chain_row(suite, trial, check, a, b, seed, values, tol, **extra):
+def _chain_row(suite, trial, check, a, b, seed, values, **extra):
     """Row for a chain v0 <= v1 <= ... reporting the tightest adjacent link."""
     gaps = [(values[k + 1] - values[k], k) for k in range(len(values) - 1)]
     _, k = min(gaps)
-    return _make_row(
-        suite, trial, check, a, b, seed, values[k], values[k + 1], tol, **extra
-    )
+    return _make_row(suite, trial, check, a, b, seed, values[k], values[k + 1], **extra)
 
 
 def _sandwich_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
@@ -207,7 +204,6 @@ def _sandwich_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
         x2,
         cfg.seed,
         [gh.upper, kappa.upper, 2.0 * gh.upper],
-        cfg.tol,
         gh=gh.upper,
         kappa=kappa.upper,
         models=[m1, m2],
@@ -231,7 +227,6 @@ def _order_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
         t2,
         cfg.seed,
         [gh.upper, kappa.upper, tau.upper],
-        cfg.tol,
         gh=gh.upper,
         kappa=kappa.upper,
         tau_h=tau.upper,
@@ -260,7 +255,6 @@ def _bb_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
         cfg.seed,
         tau.upper,
         2.0 * approx.upper,
-        cfg.tol,
         tau_h=tau.upper,
         bb_lower=approx.lower,
         bb_upper=approx.upper,
@@ -284,7 +278,6 @@ def _fd_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
         cfg.seed,
         tau.upper,
         2.0 * approx.upper,
-        cfg.tol,
         tau_h=tau.upper,
         fd_lower=approx.lower,
         fd_upper=approx.upper,
@@ -307,14 +300,14 @@ def _limits_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rows.append(
         _make_row(
             "limits", trial, "zero-diam<=4eps", x_bb, y1, cfg.seed,
-            report.zero_diam, 4.0 * eps, cfg.tol,
+            report.zero_diam, 4.0 * eps,
             eps=eps, gen=[info_x, info_y1],
         )
     )
     rows.append(
         _make_row(
             "limits", trial, "tau-vs-dist<=4eps", x_bb, y1, cfg.seed,
-            spread, 4.0 * eps, cfg.tol,
+            spread, 4.0 * eps,
             eps=eps, gen=[info_x, info_y1],
         )
     )
@@ -322,7 +315,7 @@ def _limits_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rows.append(
         _make_row(
             "limits", trial, "bb-ratio-observed", x_bb, y1, cfg.seed,
-            spread, 4.0 * eps, cfg.tol, asserted=False,
+            spread, 4.0 * eps, asserted=False,
             eps=eps, ratio=ratio,
         )
     )
@@ -331,7 +324,7 @@ def _limits_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     x_fd, info_x2 = _random_timed(rng, cfg.nmax, time_model="set-cone")
     y2, info_y2 = _random_timed(rng, cfg.nmax, time_model="mcshane")
     eps2 = tau_h_distance(x_fd, y2).upper
-    admissible = y2.tau <= eps2 + cfg.tol
+    admissible = y2.tau <= eps2 + CHECK_TOL
     if admissible.any():
         gaps = np.abs(y2.tau[None, :] - y2.d[admissible, :])
         worst = float(gaps.min(axis=0).max())
@@ -340,7 +333,7 @@ def _limits_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rows.append(
         _make_row(
             "limits", trial, "fd-witness<=3eps", x_fd, y2, cfg.seed,
-            worst, 3.0 * eps2, cfg.tol,
+            worst, 3.0 * eps2,
             eps=eps2, gen=[info_x2, info_y2],
         )
     )
@@ -383,7 +376,7 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rows.append(
         _make_row(
             "certificates", trial, "kappa-cert-equal", x1, x2, cfg.seed,
-            abs(cert - kappa.upper), 1e-12, cfg.tol,
+            abs(cert - kappa.upper), 1e-12,
             kappa=kappa.upper, cert=cert, models=[m1, m2], seeds=[s1, s2],
         )
     )
@@ -394,7 +387,7 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rows.append(
         _make_row(
             "certificates", trial, "tau-cert-equal", t1, t2, cfg.seed,
-            abs(tcert - tau.upper), 1e-12, cfg.tol,
+            abs(tcert - tau.upper), 1e-12,
             tau_h=tau.upper, cert=tcert, gen=[info1, info2],
         )
     )
@@ -407,7 +400,7 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rows.append(
         _make_row(
             "certificates", trial, "glued-hausdorff<=delta", x1, x2, cfg.seed,
-            inside, delta + 1e-12, cfg.tol,
+            inside, delta + 1e-12,
             gh=gh.upper, delta=delta,
         )
     )
@@ -418,7 +411,7 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rows.append(
         _make_row(
             "certificates", trial, "kappa-samples-no-better", x1, x2, cfg.seed,
-            kappa.upper, float(kappa_samples.min()) + 1e-12, cfg.tol,
+            kappa.upper, float(kappa_samples.min()) + 1e-12,
             samples=SAMPLE_COUNT,
         )
     )
@@ -428,7 +421,7 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     rows.append(
         _make_row(
             "certificates", trial, "tau-samples-no-better", t1, t2, cfg.seed,
-            tau.upper, float(tau_samples.min()) + 1e-12, cfg.tol,
+            tau.upper, float(tau_samples.min()) + 1e-12,
             samples=SAMPLE_COUNT,
         )
     )
@@ -447,7 +440,7 @@ def _triangle_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     ratio = v_ac / denom if denom > 0 else (0.0 if v_ac == 0 else math.inf)
     row = _make_row(
         "triangle-explore", trial, "triangle-ratio-observed", ta, tc, cfg.seed,
-        v_ac, denom, cfg.tol, asserted=False,
+        v_ac, denom, asserted=False,
         ab=v_ab, bc=v_bc, ac=v_ac, ratio=ratio,
         gen=[info_a, info_b, info_c],
     )
@@ -470,10 +463,8 @@ def _check_config(cfg: CampaignConfig) -> None:
         raise InvalidSpec(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITES)}")
     for name, least in (("trials", 1), ("nmax", 1), ("seed", 0)):
         value = getattr(cfg, name)
-        if not isinstance(value, numbers.Integral) or value < least:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
-    if not 0 < cfg.tol < math.inf:
-        raise InvalidSpec(f"tol must be finite and > 0, got {cfg.tol!r}")
     if cfg.nmax > EXACT_NMAX:
         raise BudgetTooSmall(
             f"suites need exact distances, which caps nmax at {EXACT_NMAX} "
@@ -539,8 +530,9 @@ def run_sequence_experiment(spec: SequenceSpec, budget: int = DEFAULT_BUDGET) ->
         total = correspondence_count(element.n, limit.n)
         if total > budget:
             raise BudgetTooSmall(
-                f"gh: a complete scan needs {total} correspondences, more than "
-                f"the budget of {budget}; raise the budget or lower nmax"
+                f"gh: a complete scan needs {total} correspondences, more than the "
+                f"budget of {budget}; raise the budget, or use a smaller base or a "
+                "shorter sequence"
             )
     limit_is_bb = classify(limit) is SpaceClass.BIG_BANG
     calibration = spec.base.tau_max if spec.family == "collapse-time" else None

@@ -247,8 +247,9 @@ def test_sequence_refuses_scans_beyond_the_budget(tmp_path, capsys):
                          "--base", base, "--out", str(tmp_path / "t.csv"))
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert err == ("error: gh: a complete scan needs 6970400 correspondences, more than "
-                   "the budget of 5000000; raise the budget or lower nmax\n")
+    assert err == ("error: gh: a complete scan needs 6970400 correspondences, more than the "
+                   "budget of 5000000; raise the budget, or use a smaller base or a shorter "
+                   "sequence\n")
     assert not (tmp_path / "t.csv").exists()
 
 

@@ -168,6 +168,13 @@ def test_sequence_spec_validation():
             tml.build_sequence(tml.SequenceSpec(family, base, 2.5, 0.5, 0))
         with pytest.raises(InvalidSpec, match="^seed must be an integer"):
             tml.build_sequence(tml.SequenceSpec(family, base, 3, 0.5, -1))
+        with pytest.raises(InvalidSpec, match="^length must be an integer"):
+            tml.build_sequence(tml.SequenceSpec(family, base, True, 0.5, 0))
+        with pytest.raises(InvalidSpec, match="^seed must be an integer"):
+            tml.build_sequence(tml.SequenceSpec(family, base, 3, 0.5, False))
+        for rate in ("0.5", None, True):
+            with pytest.raises(InvalidSpec, match="^rate must be a real number"):
+                tml.build_sequence(tml.SequenceSpec(family, base, 2, rate, 0))
 
 
 def loop_triangle_margin(d):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tml
-from tml.engine import _minimal_pair_tuples
+from tml.engine import _minimal_id_tuples
 from tml.errors import InvalidBasepoint, NotBigBang, NotFutureDeveloped
 
 from conftest import (
@@ -48,64 +48,82 @@ def spaces_for(seed, n1, n2, timed=False):
 # Enumerator.
 
 
+def minimal_pair_tuples(n1, n2):
+    """The enumerator's id tuples, each decoded to its sorted pair tuple."""
+    for ids in _minimal_id_tuples(n1, n2):
+        yield tuple(divmod(p, n2) for p in ids)
+
+
 def test_minimal_enumeration_matches_brute_force_filter():
     for n1, n2 in itertools.product(range(1, 4), repeat=2):
         expected = sorted(
             tuple(sorted(p)) for p in all_covering_pairsets(n1, n2) if minimal_filter(p, n1, n2)
         )
-        produced = list(_minimal_pair_tuples(n1, n2))
+        produced = list(minimal_pair_tuples(n1, n2))
         assert produced == expected, (n1, n2)
 
 
 def test_minimal_enumeration_counts():
     counts = {(2, 2): 2, (3, 3): 15, (4, 4): 184, (5, 5): 2945, (5, 2): 30, (9, 3): 18177}
     for (n1, n2), expected in counts.items():
-        assert sum(1 for _ in _minimal_pair_tuples(n1, n2)) == expected
+        assert sum(1 for _ in minimal_pair_tuples(n1, n2)) == expected
 
 
 def test_minimal_enumeration_is_sorted_and_unique():
-    seen = list(_minimal_pair_tuples(3, 3))
+    seen = list(minimal_pair_tuples(3, 3))
     assert seen == sorted(set(seen))
     for pairs in seen:
         assert pairs == tuple(sorted(pairs))
         assert tml.engine.pairs_are_minimal(pairs)
 
 
-def test_enumerator_hooks_refuse_subtrees_and_pair_up():
-    # An admit that refuses some pairs removes exactly the tuples holding
-    # them, in stream order; each admitted pair is retracted once, last in
-    # first out, and the pairs admitted and not yet retracted at a yield are
-    # the yielded tuple, whose last pair is the last one admitted.
+def test_enumerator_yields_the_ids_of_its_pairs():
+    # Id a * n2 + b stands for pair (a, b), and ids order as pairs do.
     for n1, n2 in itertools.product(range(1, 5), repeat=2):
-        cells = list(itertools.product(range(n1), range(n2)))
-        for refused in (set(), {cells[0]}, {cells[-1]}, set(cells[1::3]), set(cells[::2])):
-            held, admitted, calls = [], [], {"admit": 0, "retract": 0}
+        ids = list(_minimal_id_tuples(n1, n2))
+        decoded = [tuple(divmod(p, n2) for p in t) for t in ids]
+        assert [tuple(a * n2 + b for a, b in pairs) for pairs in decoded] == ids
+        assert ids == sorted(ids) and decoded == sorted(decoded)
 
-            def admit(r, c):
-                if (r, c) in refused:
+
+def test_enumerator_hooks_refuse_subtrees_and_pair_up():
+    # An admit that refuses some ids removes exactly the tuples holding
+    # them, in stream order; each admitted id is retracted once, last in
+    # first out, and the ids admitted and not yet retracted at a yield are
+    # the yielded tuple, whose last id is the last one admitted.  A prefix
+    # list passed in holds the same ids at every call.
+    for n1, n2 in itertools.product(range(1, 5), repeat=2):
+        cells = list(range(n1 * n2))
+        for refused in (set(), {cells[0]}, {cells[-1]}, set(cells[1::3]), set(cells[::2])):
+            held, admitted, prefix, calls = [], [], [], {"admit": 0, "retract": 0}
+
+            def admit(p):
+                assert prefix == held
+                if p in refused:
                     return False
                 calls["admit"] += 1
-                held.append((r, c))
-                admitted.append((r, c))
+                held.append(p)
+                admitted.append(p)
                 return True
 
             def retract():
+                assert prefix == held[:-1]
                 calls["retract"] += 1
                 held.pop()
 
             walked = []
-            for pairs in _minimal_pair_tuples(n1, n2, admit, retract):
-                assert tuple(held) == pairs
-                assert admitted[-1] == pairs[-1]
-                walked.append(pairs)
-            expected = [p for p in _minimal_pair_tuples(n1, n2) if refused.isdisjoint(p)]
+            for ids in _minimal_id_tuples(n1, n2, admit, retract, prefix):
+                assert tuple(held) == ids == tuple(prefix)
+                assert admitted[-1] == ids[-1]
+                walked.append(ids)
+            expected = [t for t in _minimal_id_tuples(n1, n2) if refused.isdisjoint(t)]
             assert walked == expected, (n1, n2, refused)
-            assert calls["admit"] == calls["retract"] and not held
+            assert calls["admit"] == calls["retract"] and not held and not prefix
 
 
 def test_correspondence_count_is_the_stream_length():
     for n1, n2 in itertools.product(range(6), repeat=2):
-        assert tml.correspondence_count(n1, n2) == len(list(_minimal_pair_tuples(n1, n2))), (n1, n2)
+        assert tml.correspondence_count(n1, n2) == len(list(minimal_pair_tuples(n1, n2))), (n1, n2)
     # Too long to enumerate in a test; both match a complete scan's `explored`.
     assert tml.correspondence_count(6, 6) == 63_756
     assert tml.correspondence_count(7, 7) == 1_748_803
@@ -130,6 +148,12 @@ def test_minimal_correspondence_stream_budget():
     assert len(full) == 2
     assert all(c.minimal for c in full)
     assert len(list(tml.minimal_correspondences(2, 2, budget=1))) == 1
+    assert list(tml.minimal_correspondences(2, 2, budget=0)) == []
+    assert [c.pairs for c in tml.minimal_correspondences(3, 2)] == list(minimal_pair_tuples(3, 2))
+    # Refused when called, before the stream is read.
+    for budget in (-1, 1.5, True, "1"):
+        with pytest.raises(ValueError, match=f"^budget must be None or an integer >= 0, got {budget!r}$"):
+            tml.minimal_correspondences(2, 2, budget=budget)
 
 
 def test_make_correspondence_and_transpose():
@@ -524,9 +548,11 @@ def test_local_search_classifies_at_its_tolerance(kind):
 
 
 @pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 1.5), ("iterations", -3),
-                                         ("iterations", 2.0)])
+                                         ("iterations", 2.0), ("seed", True),
+                                         ("iterations", False)])
 def test_local_search_rejects_bad_counts(name, value, path3):
-    # Refused by name before any search runs, fractional values included.
+    # Refused by name before any search runs, fractional values and bools
+    # included.
     args = {"seed": 0, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {value}$"):
         tml.local_search_upper(tml.DistanceKind.GH, path3, path3, **args)
@@ -535,10 +561,12 @@ def test_local_search_rejects_bad_counts(name, value, path3):
 @pytest.mark.parametrize("n", [1, 5])
 def test_distance_rejects_a_fractional_budget(n):
     # Refused whether or not the stream fits the budget: 1 x 1 has one
-    # candidate, 5 x 5 has 2,945.
+    # candidate, 5 x 5 has 2,945.  A bool is no count either.
     x = tml.random_metric_space(3, n)
     with pytest.raises(ValueError, match="^budget must be an integer, got 1.5$"):
         tml.distance(tml.DistanceKind.GH, x, x, budget=1.5)
+    with pytest.raises(ValueError, match="^budget must be an integer, got True$"):
+        tml.gh_distance(x, x, budget=True)
 
 
 @pytest.mark.parametrize("kind", [tml.DistanceKind.BB_GH, tml.DistanceKind.FD_HH],

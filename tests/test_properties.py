@@ -108,6 +108,11 @@ def covering(rng, pairs, rows, cols):
     return pairs
 
 
+def ids_of(pairs, n2):
+    """The engine's form of a sorted pair tuple: the tuple of its pair ids."""
+    return tuple(a * n2 + b for a, b in pairs)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     n1=st.integers(1, 5),
@@ -150,7 +155,7 @@ def test_block_costs_equal_the_plain_functions(n1, n2, seed, masks, minimal):
             if obj.zeros is not None:
                 pairs = covering(rng, pairs, *obj.zeros)
             block.append(tuple(sorted(pairs)))
-        values = obj.costs(block)
+        values = obj.costs([ids_of(pairs, n2) for pairs in block])
         assert values.shape == (len(block),)
         for pairs, value in zip(block, values):
             assert value == cost(tml.make_correspondence(n1, n2, pairs), obj)
@@ -266,7 +271,7 @@ def test_complete_one_block_scan_is_pruned(monkeypatch):
     x2 = tml.random_metric_space(8, 4, model="graph")
     a = tml.random_time_function(7, x1, model="set-cone", subset_size=2)
     b = tml.random_time_function(8, x2, model="set-cone", subset_size=2)
-    walk = engine._minimal_pair_tuples
+    walk = engine._minimal_id_tuples
     for kind in (K.GH, K.FD_HH):
         x, y = (a, b) if kind is K.FD_HH else (x1, x2)
         obj = engine._objective(kind, x, y)
@@ -276,19 +281,19 @@ def test_complete_one_block_scan_is_pruned(monkeypatch):
         leaves = []
 
         def counted(*args):
-            for pairs in walk(*args):
-                leaves.append(pairs)
-                yield pairs
+            for ids in walk(*args):
+                leaves.append(ids)
+                yield ids
 
         def costs(block):
             raise AssertionError(f"a complete {kind.value} scan scored a block")
 
-        monkeypatch.setattr(engine, "_minimal_pair_tuples", counted)
-        value, pairs = engine._scan(dataclasses.replace(obj, costs=costs), total, tml.DEFAULT_BUDGET)
+        monkeypatch.setattr(engine, "_minimal_id_tuples", counted)
+        value, ids = engine._scan(dataclasses.replace(obj, costs=costs), total, tml.DEFAULT_BUDGET)
         monkeypatch.undo()
         assert 0 < len(leaves) < total
         best, best_pairs, explored, _ = plain_scan(kind, a, b, None)
-        assert (value, pairs) == (best, best_pairs)
+        assert (value, ids) == (best, ids_of(best_pairs, 4))
         assert explored == total
 
 
@@ -366,14 +371,14 @@ def test_prefix_bounds_never_decrease_and_never_pass_a_cost(
         grid = {c for k, c in enumerate(cells) if mask >> k & 1}
         pairs = minimized(rng, covering(rng, grid, range(n1), range(n2)))
         assert engine.pairs_are_minimal(pairs)
-        ids = [p * n2 + q for p, q in pairs]
+        ids = ids_of(pairs, n2)
         # A complete scan holds each required set before the walk's path,
         # and scores a leaf by the bound of its last pair.
         for extra in obj.required or ((),):
             extend, undo = obj.prefix()
-            bounds = [extend(p * n2 + q) for p, q in extra] + [extend(i) for i in ids]
+            bounds = [extend(i) for i in extra + ids]
             assert bounds == sorted(bounds)
-            assert bounds[-1] == obj.costs([engine._joined(pairs, extra)])[0]
+            assert bounds[-1] == obj.costs([engine._joined(ids, extra)])[0]
             for k in reversed(range(len(ids))):
                 undo()
                 assert extend(ids[k]) == bounds[len(extra) + k]
@@ -414,11 +419,11 @@ def test_rho_prefix_bounds_equal_the_one_pair_fold(kind, n1, n2, seed, graphs, r
         assert extend(p) == engine._maxmin(table), asked
         return table
 
-    def admit(r, c):
+    def admit(p):
         if rng.random() < refuse:
             fold(int(rng.integers(n1 * n2)))
             undo()
-        table = fold(r * n2 + c)
+        table = fold(p)
         if rng.random() < refuse:
             undo()
             return False
@@ -429,7 +434,7 @@ def test_rho_prefix_bounds_equal_the_one_pair_fold(kind, n1, n2, seed, graphs, r
         undo()
         tables.pop()
 
-    for _ in engine._minimal_pair_tuples(n1, n2, admit, retract):
+    for _ in engine._minimal_id_tuples(n1, n2, admit, retract):
         pass
     assert len(tables) == 1 and asked
 
@@ -495,7 +500,7 @@ def set_local_search(kind, a, b, seed, iterations, basepoints):
         starts.append(start(rows | {(int(rng.integers(n1)), j) for j in range(n2)}))
     for current in starts:
         key = tuple(sorted(current))
-        value = obj.costs([key])[0]
+        value = obj.costs([ids_of(key, n2)])[0]
         explored += 1
         for _ in range(iterations):
             moves = list(neighbors(current))
@@ -503,14 +508,14 @@ def set_local_search(kind, a, b, seed, iterations, basepoints):
                 break
             block = [tuple(sorted(cand)) for _, cand in moves]
             explored += len(block) - sum(add for add, _ in moves)
-            low, pairs = engine._least(block, obj.costs(block))
+            low, pairs = engine._least(block, obj.costs([ids_of(p, n2) for p in block]))
             if low >= value:
                 break
             key, value = pairs, low
             current = set(key)
         if value < best_value or (value == best_value and key < best_pairs):
             best_value, best_pairs = value, key
-    return engine._result(obj, best_value, best_pairs, explored, complete=False)
+    return engine._result(obj, best_value, ids_of(best_pairs, n2), explored, complete=False)
 
 
 @pytest.mark.parametrize("kind", list(K), ids=lambda k: k.value)
