@@ -49,8 +49,8 @@ rows shorter than the longest repeat their first id.  Every cost is a max over
 the row's pairs (distortion or the profile-gap table rho), and a repeated
 pair changes no max, so padding needs no sentinel and no mask.  Distortion
 is a running max over row positions, so no block x k x k table is built.
-Within a block the least value goes to the lexicographically smallest tuple
-that attains it, as in a one-at-a-time scan.
+Within a block the least value goes to its first row, as in a one-at-a-time
+scan.
 
 Local search holds its relation as a sorted array of pair ids and builds each
 step's whole neighbourhood (every drop and one-endpoint swap that keeps both
@@ -66,7 +66,10 @@ read back as the set of its ids.
 There is one scan, ``_scan``, over a set-major stream: for each pair set the
 kind requires (none for gh, kappa-gh and tau-h; the anchor pair for pt-gh and
 bb-gh; each minimal zero-set correspondence for fd-hh), every minimal
-correspondence joined with that set, in enumeration order.  The stream
+correspondence joined with that set, in enumeration order.  The
+certificate is the first candidate of least cost in that stream: for gh,
+kappa-gh and tau-h the lexicographically smallest optimum, for the joined
+kinds the least (set, correspondence) pair attaining it.  The stream
 length is counted without enumerating (``correspondence_count`` times the
 number of sets); the scan is complete exactly when it fits the budget, and
 ``explored`` is the smaller of the two.  Completeness alone picks the walk.
@@ -79,10 +82,9 @@ the distortion of the prefix times the kind's scale, or the Hausdorff value
 of the prefix's rho table.  A rho prefix bounds all of a node's children in
 one row at once.  A leaf's prefix holds every pair of its candidate, so the
 bound of its last pair is that candidate's cost and the leaf is scored by
-it.  Without a required set the candidates come in lexicographic order, so
-an equal bound prunes them; joined candidates need not, so an equal bound
-prunes only a subtree whose every candidate sorts after the best tuple.
-Pruning changes no value, certificate or ``explored`` count.
+it.  Every candidate below a prefix comes later in the stream than the best
+candidate held, so an equal bound prunes it too.  Pruning changes no value,
+certificate or ``explored`` count.
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ from .spaces import (
     FiniteMetricSpace,
     SpaceClass,
     TimedMetricSpace,
+    _check_tol,
     _maxmin,
     report_class,
     structure_report,
@@ -167,7 +170,7 @@ def transpose(corr: Correspondence) -> Correspondence:
     return Correspondence(n1=corr.n2, n2=corr.n1, pairs=flipped, minimal=corr.minimal)
 
 
-def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, prefix=None):
+def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None):
     """Yield every minimal correspondence exactly once, as the sorted tuple of
     its pair ids (a * n2 + b for pair (a, b)).  Ids order as pairs do.
 
@@ -180,17 +183,17 @@ def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, prefix=None):
     minimality demands.  The last row must take every column no earlier row
     covers, so its loop returns at the first one it would leave uncovered.
 
-    The ids taken so far are kept in the list `prefix`, which a caller may
-    pass in (empty) to read it.  A scan prunes through `admit(p)`: called
-    before id p joins the prefix, it may refuse the whole subtree below;
-    `retract()` follows every admitted id when the recursion backs out of it.
-    A tuple is yielded right after its last id is admitted: the last row
-    yields only from a loop that admitted nothing, because backing out of a
-    column it took leaves that column uncovered or the row empty.
+    The ids taken so far are kept in the list `prefix`.  A scan prunes
+    through `admit(p)`: called before id p joins the prefix, it may refuse
+    the whole subtree below; `retract()` follows every admitted id when the
+    recursion backs out of it.  A tuple is yielded right after its last id
+    is admitted: the last row yields only from a loop that admitted nothing,
+    because backing out of a column it took leaves that column uncovered or
+    the row empty.
     """
     col_deg = [0] * n2
     frozen = [False] * n2
-    prefix = [] if prefix is None else prefix
+    prefix = []
 
     def row(r: int, start: int, chosen: list[int]):
         last = r == n1 - 1
@@ -443,6 +446,7 @@ class _Objective:
 def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Objective:
     """Check the inputs of `kind` and build its objective between a and b,
     with only the table of its cost family."""
+    _check_tol(tol)
     if kind in TIMED_KINDS and not (
         isinstance(a, TimedMetricSpace) and isinstance(b, TimedMetricSpace)
     ):
@@ -454,8 +458,8 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         if basepoints is None:
             raise InvalidBasepoint("pt-gh needs a basepoint pair")
         for p, x in zip(basepoints, (x1, x2)):
-            if not (0 <= p < x.n):
-                raise InvalidBasepoint(f"basepoint {p} outside [0, {x.n})")
+            if isinstance(p, bool) or not isinstance(p, numbers.Integral) or not 0 <= p < x.n:
+                raise InvalidBasepoint(f"basepoint {p!r} is not an integer in [0, {x.n})")
         anchor = (int(basepoints[0]), int(basepoints[1]))
     elif kind in (DistanceKind.BB_GH, DistanceKind.FD_HH):
         # One structure report per side serves the class check and the
@@ -589,28 +593,17 @@ def _joined(ids, extra):
     return tuple(sorted(set(ids).union(extra))) if extra else ids
 
 
-def _least(block: list, values: np.ndarray):
-    """The least value of a nonempty block and the lexicographically smallest
-    tuple attaining it.  Joined candidates are not in lexicographic order, so
-    the first index would not do."""
-    low = values.min()
-    return low, min(block[i] for i in np.flatnonzero(values == low))
-
-
 def _scan(obj: _Objective, total: int, budget: int):
     """The least cost among the first `budget` candidates of a set-major
-    stream of `total`, and the lexicographically smallest candidate
-    attaining it.
+    stream of `total`, and the first candidate in the stream attaining it.
 
-    A cut stream is scored in blocks of BLOCK.  A stream that fits the
-    budget is walked once per required pair set, the prefix holding the
-    set's pairs first, and a prefix is refused when its bound cannot beat
-    the best candidate held.  Each leaf is scored by the bound of its last
-    pair, which is its candidate's cost.  Without a required set the
-    candidates are met in lexicographic order, so an equal bound prunes
-    them.  Joined candidates are not: an equal bound prunes only when
-    `may_precede` shows that every candidate below sorts after the best
-    tuple.
+    A cut stream is scored in blocks of BLOCK, each block's first least
+    value kept.  A stream that fits the budget is walked once per required
+    pair set, the prefix holding the set's pairs first, and a prefix is
+    refused when its bound is not below the best candidate held: every
+    candidate below it comes later in the stream, so an equal one cannot
+    win.  Each leaf is scored by the bound of its last pair, which is its
+    candidate's cost.
     """
     best, best_ids = math.inf, None
     n1, n2 = obj.n1, obj.n2
@@ -621,47 +614,40 @@ def _scan(obj: _Objective, total: int, budget: int):
         )
         stream = islice(stream, budget)
         blocks = iter(lambda: list(islice(stream, BLOCK)), [])
-        found = (_least(block, obj.costs(block)) for block in blocks)
+
+        def first_least(block):
+            values = obj.costs(block)
+            i = values.argmin()
+            return values[i], block[i]
+
+        found = map(first_least, blocks)
     else:
         extend, undo = obj.prefix()
-        exact = obj.exact
-        held = ()  # the ids of the set being walked
-        prefix: list[int] = []  # the enumerator's ids taken so far
         last = math.inf  # the bound of the id admitted last
-
-        def may_precede(p):
-            """Whether a candidate below the prefix plus id p can sort before
-            the best tuple.  Every id added below is above p, so such a
-            candidate starts with `lead`: the prefix, p and the held ids
-            below p."""
-            lead = tuple(sorted({*prefix, p, *(e for e in held if e < p)}))
-            return lead <= best_ids[: len(lead)]
 
         def admit(p):
             nonlocal last
             bound = extend(p)
-            if bound > best or (bound == best and (exact or not may_precede(p))):
+            if bound >= best:
                 undo()
                 return False
             last = bound
             return True
 
         def walk(extra):
-            nonlocal held
-            held = extra
-            for p in held:
+            for p in extra:
                 extend(p)
-            for ids in _minimal_id_tuples(n1, n2, admit, undo, prefix):
+            for ids in _minimal_id_tuples(n1, n2, admit, undo):
                 # A leaf comes right after its last id is admitted, and its
                 # prefix holds every id of its candidate: the bound of that
                 # id is the candidate's cost.
                 yield last, _joined(ids, extra)
-            for _ in held:
+            for _ in extra:
                 undo()
 
         found = chain.from_iterable(map(walk, sets))
     for value, cand in found:
-        if value < best or (value == best and cand < best_ids):
+        if value < best:
             best, best_ids = value, cand
     return best, best_ids
 
@@ -705,9 +691,10 @@ def distance(
     basepoints: tuple[int, int] | None = None,
 ) -> DistanceResult:
     """Distance of any kind between a and b: minimize the kind's cost over its
-    candidate stream with a deterministic lexicographic tie-break, counting
-    evaluations against the budget.  `tol` is the classification tolerance of
-    bb-gh and fd-hh; `basepoints` is the pt-gh basepoint pair."""
+    candidate stream, ties going to the first candidate in the stream,
+    counting evaluations against the budget.  `tol` is the classification
+    tolerance of bb-gh and fd-hh, a finite real >= 0 for every kind;
+    `basepoints` is the pt-gh basepoint pair."""
     if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
         raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:

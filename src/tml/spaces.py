@@ -247,6 +247,14 @@ def structure_report(timed: TimedMetricSpace, delta: float = 0.0) -> StructureRe
     )
 
 
+def _check_tol(tol) -> None:
+    """Refuse a classification tolerance that is not a finite real >= 0
+    (bools included)."""
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
+            or not 0 <= tol < math.inf):
+        raise ValueError(f"tol must be a finite real >= 0, got {tol!r}")
+
+
 def classify(timed: TimedMetricSpace, tol: float = DEFAULT_TOL) -> SpaceClass:
     """Classify a timed space, reporting the strongest class that applies.
 
@@ -254,8 +262,9 @@ def classify(timed: TimedMetricSpace, tol: float = DEFAULT_TOL) -> SpaceClass:
     from it (bb_defect <= tol); future developed requires tau equal to the
     distance from the whole zero set (fd_defect <= tol, zero set nonempty).
     A big bang space is in particular future developed; the stronger class
-    is returned.
+    is returned.  A tol that is not a finite real >= 0 raises ValueError.
     """
+    _check_tol(tol)
     return report_class(structure_report(timed, delta=tol), tol)
 
 

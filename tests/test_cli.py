@@ -262,13 +262,17 @@ def test_sequence_needs_timed_base(tmp_path, capsys):
     assert "timed" in err
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["dist", "--kind", "warp", "a.json", "b.json"])
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+    space = str(tmp_path / "space.json")
+    run(capsys, "gen", "--n", "3", "--seed", "5", "--time", "cone", "-o", space)
+    code, out, err = run(capsys, "dist", "--kind", "gh", "--tol", "nan", space, space)
+    assert (code, out, err) == (2, "", "error: tol must be a finite real >= 0, got nan\n")
 
 
 @pytest.mark.parametrize("command", ["dist", "validate", "classify", "sequence"])

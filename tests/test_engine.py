@@ -90,15 +90,13 @@ def test_enumerator_hooks_refuse_subtrees_and_pair_up():
     # An admit that refuses some ids removes exactly the tuples holding
     # them, in stream order; each admitted id is retracted once, last in
     # first out, and the ids admitted and not yet retracted at a yield are
-    # the yielded tuple, whose last id is the last one admitted.  A prefix
-    # list passed in holds the same ids at every call.
+    # the yielded tuple, whose last id is the last one admitted.
     for n1, n2 in itertools.product(range(1, 5), repeat=2):
         cells = list(range(n1 * n2))
         for refused in (set(), {cells[0]}, {cells[-1]}, set(cells[1::3]), set(cells[::2])):
-            held, admitted, prefix, calls = [], [], [], {"admit": 0, "retract": 0}
+            held, admitted, calls = [], [], {"admit": 0, "retract": 0}
 
             def admit(p):
-                assert prefix == held
                 if p in refused:
                     return False
                 calls["admit"] += 1
@@ -107,18 +105,17 @@ def test_enumerator_hooks_refuse_subtrees_and_pair_up():
                 return True
 
             def retract():
-                assert prefix == held[:-1]
                 calls["retract"] += 1
                 held.pop()
 
             walked = []
-            for ids in _minimal_id_tuples(n1, n2, admit, retract, prefix):
-                assert tuple(held) == ids == tuple(prefix)
+            for ids in _minimal_id_tuples(n1, n2, admit, retract):
+                assert tuple(held) == ids
                 assert admitted[-1] == ids[-1]
                 walked.append(ids)
             expected = [t for t in _minimal_id_tuples(n1, n2) if refused.isdisjoint(t)]
             assert walked == expected, (n1, n2, refused)
-            assert calls["admit"] == calls["retract"] and not held and not prefix
+            assert calls["admit"] == calls["retract"] and not held
 
 
 def test_correspondence_count_is_the_stream_length():
@@ -521,11 +518,26 @@ def test_local_search_checks_inputs_like_the_exact_drivers(path3):
     assert info.value.side == 1
     with pytest.raises(InvalidBasepoint):
         search(tml.DistanceKind.PT_GH, path3, path3, seed=0)
-    for p1, p2 in ((0, 3), (-1, 0)):
+    for p1, p2 in ((0, 3), (-1, 0), (1.5, 0), (True, 0)):
         with pytest.raises(InvalidBasepoint):
             search(tml.DistanceKind.PT_GH, path3, path3, seed=0, basepoints=(p1, p2))
         with pytest.raises(InvalidBasepoint):
             tml.pointed_gh(path3, p1, path3, p2)
+
+
+@pytest.mark.parametrize("tol", ["x", -1.0, math.nan, math.inf, True, None])
+def test_a_bad_tolerance_fails_the_same_way_everywhere(tol, path3):
+    # Every kind checks tol, not only the two that classify with it.
+    timed = tml.build_timed_space(path3, path3.d[0])
+    message = f"^tol must be a finite real >= 0, got {tol!r}$"
+    for kind in tml.DistanceKind:
+        x = timed if kind in tml.TIMED_KINDS else path3
+        with pytest.raises(ValueError, match=message):
+            tml.distance(kind, x, x, tol=tol, basepoints=(0, 0))
+        with pytest.raises(ValueError, match=message):
+            tml.local_search_upper(kind, x, x, seed=0, tol=tol, basepoints=(0, 0))
+    with pytest.raises(ValueError, match=message):
+        tml.classify(timed, tol=tol)
 
 
 @pytest.mark.parametrize("kind", [tml.DistanceKind.BB_GH, tml.DistanceKind.FD_HH],
@@ -659,11 +671,12 @@ def test_budgets_at_block_boundaries(kind):
     # Budgets on both sides of the scan's block size, of the first required
     # set's end and of the stream's end (2,945 minimal correspondences at
     # 5 x 5), against a plain loop over the same set-major stream with the
-    # plain objective.  On these graph spaces the least pt-gh cost is tied at
-    # every budget, and the joined candidates are not in lexicographic order:
-    # the first tied candidate is not the smallest tuple.  The two-point zero
-    # sets of fd-hh have two minimal correspondences, so its stream runs
-    # through the minimal correspondences twice, once per set.
+    # plain objective; the certificate is the first optimum in the stream.  On
+    # these graph spaces the least pt-gh cost is tied at every budget, and the
+    # joined candidates are not in lexicographic order: the first tied
+    # candidate is not the smallest tuple.  The two-point zero sets of fd-hh
+    # have two minimal correspondences, so its stream runs through the
+    # minimal correspondences twice, once per set.
     K = tml.DistanceKind
     x1 = tml.random_metric_space(4, 5, model="graph")
     x2 = tml.random_metric_space(104, 5, model="graph")
@@ -694,7 +707,7 @@ def test_budgets_at_block_boundaries(kind):
     for budget in sorted({B - 1, B, B + 1, 2 * B + 1} | ends):
         best, best_pairs = math.inf, None
         for pairs, value in zip(stream[:budget], values[:budget]):
-            if value < best or (value == best and pairs < best_pairs):
+            if value < best:
                 best, best_pairs = value, pairs
         complete = budget >= len(stream)
         if not complete:

@@ -177,8 +177,8 @@ def plain_cost(kind, a, b, anchor, zeros):
 
 def plain_scan(kind, a, b, anchor):
     """Every minimal correspondence joined with every pair set the kind
-    requires, scored one at a time; the least cost and the smallest tuple
-    attaining it, as a complete scan must return them."""
+    requires, set by set, scored one at a time; the least cost and the first
+    tuple attaining it, as a complete scan must return them."""
     zeros = [[i for i in range(t.n) if t.tau[i] <= tml.DEFAULT_TOL] for t in (a, b)]
     if kind is K.FD_HH:
         required = [
@@ -191,12 +191,12 @@ def plain_scan(kind, a, b, anchor):
         required = [[]]
     cost = plain_cost(kind, a, b, anchor, zeros)
     best, best_pairs, explored = np.inf, None, 0
-    for corr in tml.minimal_correspondences(a.n, b.n):
-        for extra in required:
+    for extra in required:
+        for corr in tml.minimal_correspondences(a.n, b.n):
             pairs = tuple(sorted(set(corr.pairs) | set(extra)))
             value = cost(tml.make_correspondence(a.n, b.n, pairs))
             explored += 1
-            if value < best or (value == best and pairs < best_pairs):
+            if value < best:
                 best, best_pairs = value, pairs
     return best, best_pairs, explored, zeros
 
@@ -207,10 +207,10 @@ MULTI_BLOCK = ((4, 5), (5, 4), (5, 5))
 
 @pytest.mark.parametrize("kind", list(K), ids=lambda k: k.value)
 @settings(max_examples=2, deadline=None, derandomize=True, database=None)
-# Tied least costs on graph metrics: pruning an equal bound of a joined kind,
-# or misreading which candidates of a subtree sort first, changes the
-# certificate of bb-gh and fd-hh at the first example and of pt-gh at the
-# second.
+# Tied least costs on graph metrics, where the first optimum in the stream is
+# not the smallest tuple: bb-gh and fd-hh at the first example, pt-gh at the
+# second.  Breaking ties by tuple changes those certificates; keeping a later
+# tie changes the certificate of every joined kind at both.
 @example(shape=(4, 5), seed=11, graphs=True, zeros=(2, 1))
 @example(shape=(5, 4), seed=86, graphs=True, zeros=(2, 2))
 # Streams of one block, down to the single candidate of 1 x 1.
@@ -454,6 +454,13 @@ def covers(pairs, n1, n2, zeros):
     return {a for a, _ in inside} == z1 and {b for _, b in inside} == z2
 
 
+def least(block, values):
+    """The least value of a nonempty block and the smallest tuple attaining
+    it: local search's tie rule."""
+    low = values.min()
+    return low, min(block[i] for i in np.flatnonzero(values == low))
+
+
 def set_local_search(kind, a, b, seed, iterations, basepoints):
     """The descent with every neighbour built as a set, checked for coverage
     one at a time and sorted into a tuple; each step scores the tuples with
@@ -508,7 +515,7 @@ def set_local_search(kind, a, b, seed, iterations, basepoints):
                 break
             block = [tuple(sorted(cand)) for _, cand in moves]
             explored += len(block) - sum(add for add, _ in moves)
-            low, pairs = engine._least(block, obj.costs([ids_of(p, n2) for p in block]))
+            low, pairs = least(block, obj.costs([ids_of(p, n2) for p in block]))
             if low >= value:
                 break
             key, value = pairs, low
