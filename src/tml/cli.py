@@ -73,8 +73,9 @@ def _cmd_classify(args) -> int:
     if not isinstance(space, TimedMetricSpace):
         print("class: metric (no time function)")
         return 0
+    space_class = classify(space, tol=args.tol)
     report = structure_report(space, delta=args.tol)
-    print(f"class: {classify(space, tol=args.tol).value}")
+    print(f"class: {space_class.value}")
     names = ", ".join(space.labels[i] for i in report.zero_set)
     print(f"zero_set: [{names}]")
     print(f"zero_diam: {report.zero_diam}")

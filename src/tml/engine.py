@@ -25,23 +25,29 @@ bit for bit (halving and doubling are exact).  With delta = dis(R) / 2, every
 cross entry d1(x, a) + delta + d2(b, y) is at least delta, and the entry of a
 related pair is 0 + delta + 0.  R covers both point sets and both zero sets
 and holds the anchor, so the Hausdorff, anchor and zero-set terms each equal
-delta.  The engine scores pt-gh, bb-gh and fd-hh by the distortion of the
-correspondences that hold the anchor or cover the zero sets.  A complete
-scan certifies the 2-approximation [upper / 2, upper], tightened from below
-by simple bounds; a scan cut short by its budget, only the simple bounds.
+delta.  A complete scan certifies the 2-approximation [upper / 2, upper],
+tightened from below by simple bounds; a cut scan, only the simple bounds.
 
-Inside the engine a relation is the sorted tuple of its pair ids, a * n2 + b
-for pair (a, b), which order as the pairs do.  Pairs appear only at the
-boundaries: the inputs of ``_objective`` and local search's starts, the
-certificate ``_result`` decodes and the public ``minimal_correspondences``
-stream.
+Every kind scans one candidate family: the minimal relations that cover both
+point sets and whose pairs inside Z1 x Z2 cover both zero sets.  The anchor
+of pt-gh and bb-gh is the 1 x 1 zero set; gh, kappa-gh and tau-h have none.
+A candidate splits once into a minimal correspondence between the zero sets
+(a required set) and a minimal cover of the points outside them with no pair
+inside Z1 x Z2.  Every cost is monotone, and every correspondence that holds
+the anchor or covers the zero sets contains a candidate, so the family's
+least cost is the least over all of them.
+
+Inside the engine a relation is a tuple of pair ids, a * n2 + b for pair
+(a, b), which order as the pairs do; a candidate lists its required set's
+ids, then its cover's.  Pairs appear only at the boundaries: the inputs of
+``_objective``, local search's starts, the certificate ``_result`` sorts and
+decodes and the public ``minimal_correspondences`` stream.
 
 Each kind is one objective record (``_objective``): its inputs checked, the
-table of its cost family, its batched cost and prefix bound, and the pair sets
-every candidate must contain.  ``distance`` is the one entry behind the six
-drivers: one scan and one result assembler serve every kind and
-``local_search_upper``.  The plain per-correspondence functions stay as the
-independent check of certificates.
+table of its cost family, its batched cost and prefix bound, its zero and
+required sets.  ``distance`` is the one entry behind the six drivers: one
+scan and one result assembler serve every kind and ``local_search_upper``.
+The plain per-correspondence functions independently check certificates.
 
 A scan cut by its budget scores candidates in blocks, one numpy call chain
 per block.  A block is a table of pair ids, one row per candidate's id tuple;
@@ -54,44 +60,39 @@ scan.
 
 Local search holds its relation as a sorted array of pair ids and builds each
 step's whole neighbourhood (every drop and one-endpoint swap that keeps both
-point sets, both zero sets and the pinned anchor covered) as one padded id
-table, with coverage read off the relation's degree counts.  It builds no
-add: every cost is monotone in the relation, so an added pair never lowers
-it.  Each neighbour is the relation with one id taken out and one put in, so
-its cost is the cost of the relation without that slot, computed once per
-slot, joined with the new id's entries: the same max over the same floats,
-bit for bit.  Ties go to the smallest id tuple among the tied rows, each
-read back as the set of its ids.
+point sets and both zero sets covered) as one padded id table, with coverage
+read off the relation's degree counts.  It builds no add: every cost is
+monotone in the relation, so an added pair never lowers it.  Each neighbour
+is the relation with one id taken out and one put in, so its cost is the
+cost of the relation without that slot, computed once per slot, joined with
+the new id's entries: the same max over the same floats, bit for bit.  Ties
+go to the smallest id tuple among the tied rows, each read back as the set
+of its ids.
 
-There is one scan, ``_scan``, over a set-major stream: for each pair set the
-kind requires (none for gh, kappa-gh and tau-h; the anchor pair for pt-gh and
-bb-gh; each minimal zero-set correspondence for fd-hh), every minimal
-correspondence joined with that set, in enumeration order.  The
-certificate is the first candidate of least cost in that stream: for gh,
-kappa-gh and tau-h the lexicographically smallest optimum, for the joined
-kinds the least (set, correspondence) pair attaining it.  The stream
-length is counted without enumerating (``correspondence_count`` times the
-number of sets); the scan is complete exactly when it fits the budget, and
+There is one scan, ``_scan``, over a set-major stream: for each required set
+in lexicographic order, each minimal cover of the rest in enumeration order.
+The certificate is the first candidate of least cost in that stream: for gh,
+kappa-gh and tau-h the lexicographically smallest optimum.  The stream
+length is counted without enumerating (``_covers`` times the number of
+sets); the scan is complete exactly when it fits the budget, and
 ``explored`` is the smaller of the two.  Completeness alone picks the walk.
 A cut scan scores the stream's first ``budget`` candidates in blocks of
-``BLOCK``.  A complete scan walks the correspondence tree once per required
-set: the prefix first holds the set's pairs, then the enumerator refuses a
-prefix whose bound, at most the cost of every candidate below it, cannot
-beat the best candidate held.  The bound never decreases as pairs are added:
-the distortion of the prefix times the kind's scale, or the Hausdorff value
-of the prefix's rho table.  A rho prefix bounds all of a node's children in
-one row at once.  A leaf's prefix holds every pair of its candidate, so the
-bound of its last pair is that candidate's cost and the leaf is scored by
-it.  Every candidate below a prefix comes later in the stream than the best
-candidate held, so an equal bound prunes it too.  Pruning changes no value,
-certificate or ``explored`` count.
+``BLOCK``.  A complete scan walks the cover tree once per required set: the
+prefix first holds the set's pairs, then the enumerator refuses a prefix
+whose bound, at most the cost of every candidate below it, is not below the
+best candidate held; every candidate below comes later in the stream, so an
+equal one cannot win.  The bound never decreases as pairs are added: the
+scaled distortion of the prefix, or the Hausdorff value of its rho table,
+which bounds a node's children a row at once.  A leaf's prefix holds every
+pair of its candidate, so the bound of its last pair is its cost.  Pruning
+changes no value, certificate or ``explored`` count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -170,29 +171,35 @@ def transpose(corr: Correspondence) -> Correspondence:
     return Correspondence(n1=corr.n2, n2=corr.n1, pairs=flipped, minimal=corr.minimal)
 
 
-def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None):
-    """Yield every minimal correspondence exactly once, as the sorted tuple of
-    its pair ids (a * n2 + b for pair (a, b)).  Ids order as pairs do.
+def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, covered=((), ())):
+    """Yield every minimal cover of the points outside `covered` (rows,
+    columns) with no pair between two covered points exactly once, as the
+    sorted tuple of its pair ids (a * n2 + b for pair (a, b)).  Ids order as
+    pairs do.  With nothing covered these are the minimal correspondences.
 
-    Rows are processed in order; each row picks a nonempty column set in one
-    loop over its columns, recursing into each column it takes and ending the
-    row after the loop, so a set's extensions come before the set itself and
-    complete relations appear in lexicographic order of their sorted pair
-    tuples.  A row with two or more columns must own them exclusively (they
-    are frozen for everyone else), which is precisely the star shape
-    minimality demands.  The last row must take every column no earlier row
-    covers, so its loop returns at the first one it would leave uncovered.
+    Rows are processed in order; each row picks a column set in one loop over
+    its columns, recursing into each column it takes and ending the row after
+    the loop, so a set's extensions come before the set itself and complete
+    relations appear in lexicographic order of their sorted pair tuples.
+    Every pair needs an uncovered endpoint of degree one: the star shape
+    minimality demands.  A row takes one column, or two or more it owns
+    (frozen for everyone else).  A covered row starts out holding a column
+    of its own, so it owns what it takes and may take nothing; a covered
+    column starts at degree one.  The last row must take every column still
+    uncovered, returning at the first it would leave.
 
     The ids taken so far are kept in the list `prefix`.  A scan prunes
     through `admit(p)`: called before id p joins the prefix, it may refuse
     the whole subtree below; `retract()` follows every admitted id when the
-    recursion backs out of it.  A tuple is yielded right after its last id
-    is admitted: the last row yields only from a loop that admitted nothing,
-    because backing out of a column it took leaves that column uncovered or
-    the row empty.
+    recursion backs out of it.  A nonempty tuple is yielded right after its
+    last id is admitted: every id asked for after it is an uncovered column
+    that the tuple leaves uncovered.
     """
-    col_deg = [0] * n2
-    frozen = [False] * n2
+    # Row r picks into heads[r], left as found by each visit.  A covered row
+    # starts out holding column n2 + r, which no other row sees: degree zero.
+    heads = [[n2 + r] if r in covered[0] else [] for r in range(n1)]
+    col_deg = [int(c in covered[1]) for c in range(n2)] + [0] * n1
+    frozen = [False] * (n2 + n1)
     prefix = []
 
     def row(r: int, start: int, chosen: list[int]):
@@ -220,34 +227,39 @@ def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None):
         for j in chosen:
             col_deg[j] += 1
             frozen[j] = multi
-        yield from row(r + 1, 0, [])
+        yield from row(r + 1, 0, heads[r + 1])
         for j in chosen:
             col_deg[j] -= 1
             frozen[j] = False
 
     if n1 >= 1 and n2 >= 1:
-        yield from row(0, 0, [])
+        yield from row(0, 0, heads[0])
 
 
 @lru_cache(maxsize=None)
-def _star_forests(n1: int, n2: int) -> int:
-    """Spanning star forests of K(n1, n2), split on the star that holds left
-    point 0: a single edge, a star centred on it with k >= 2 leaves, or one of
-    k >= 2 leaves of a star centred on the right."""
-    if n1 == 0 or n2 == 0:
-        return int(n1 == n2)
-    count = n2 * _star_forests(n1 - 1, n2 - 1)
-    for k in range(2, n2 + 1):
-        count += math.comb(n2, k) * _star_forests(n1 - 1, n2 - k)
-    for k in range(2, n1 + 1):
-        count += n2 * math.comb(n1 - 1, k - 1) * _star_forests(n1 - k, n2 - 1)
+def _covers(u1: int, c1: int, u2: int, c2: int) -> int:
+    """Minimal covers of u1 + u2 uncovered points beside c1 + c2 covered ones
+    (left + right): star forests with uncovered leaves, split on the star of
+    an uncovered left point: one of j >= 1 leaves of a right centre (a single
+    edge if j == 1 and the centre is uncovered), or centre of k >= 2 leaves."""
+    if min(u2, c2) < 0:
+        return 0
+    if u1 == 0:
+        return 1 if u2 == 0 else _covers(u2, c2, u1, c1)
+    count = 0
+    for j in range(1, u1 + 1):
+        count += math.comb(u1 - 1, j - 1) * (
+            c2 * _covers(u1 - j, c1, u2, c2 - 1) + u2 * _covers(u1 - j, c1, u2 - 1, c2)
+        )
+    for k in range(2, u2 + 1):
+        count += math.comb(u2, k) * _covers(u1 - 1, c1, u2 - k, c2)
     return count
 
 
 def correspondence_count(n1: int, n2: int) -> int:
     """Number of minimal correspondences between n1 and n2 points, counted
     without enumerating them: the length of a complete scan's stream."""
-    return _star_forests(n1, n2) if n1 >= 1 and n2 >= 1 else 0
+    return _covers(n1, 0, n2, 0) if n1 >= 1 and n2 >= 1 else 0
 
 
 def minimal_correspondences(n1: int, n2: int, budget: int | None = None):
@@ -420,10 +432,10 @@ class _Objective:
     batches: the first `extend(p)` below a prefix bounds ids p to the end of
     p's row in one numpy call, and later siblings in that range read their
     table and bound from it.
-    `required` holds the pair sets a candidate must contain, each as a sorted
-    id tuple, the stream running once per set: none for gh/kappa-gh/tau-h,
-    the basepoint pair for pt-gh/bb-gh, every minimal zero-set correspondence
-    for fd-hh.  `floor` is the kind's simple lower bound.
+    `zeros` holds the zero sets (for pt-gh and bb-gh the anchor as 1 x 1
+    zero sets; none for gh/kappa-gh/tau-h), `required` the minimal
+    correspondences between them as sorted id tuples, or the empty tuple
+    alone.  `floor` is the kind's simple lower bound.
     """
 
     kind: DistanceKind
@@ -432,15 +444,15 @@ class _Objective:
     costs: Callable[[list], np.ndarray]
     move_costs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     prefix: Callable[[], tuple[Callable[[int], float], Callable[[], None]]]
+    zeros: tuple[list[int], list[int]]
     required: tuple[tuple[int, ...], ...]
     floor: float
     anchor: tuple[int, int] | None = None
-    zeros: tuple[list[int], list[int]] | None = None
 
     @property
     def exact(self) -> bool:
         """The least cost is the distance itself, not a 2-approximation of it."""
-        return not self.required
+        return not self.zeros[0]
 
 
 def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Objective:
@@ -452,15 +464,16 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     ):
         raise TypeError(f"{kind.value} needs timed spaces")
     x1, x2 = _base_of(a), _base_of(b)
-    anchor = zeros = None
-    required = ()
+    anchor = None
+    zeros = ([], [])
     if kind is DistanceKind.PT_GH:
-        if basepoints is None:
-            raise InvalidBasepoint("pt-gh needs a basepoint pair")
-        for p, x in zip(basepoints, (x1, x2)):
+        pair = tuple(basepoints) if isinstance(basepoints, Iterable) else ()
+        if len(pair) != 2:
+            raise InvalidBasepoint(f"pt-gh needs a basepoint pair, got {basepoints!r}")
+        for p, x in zip(pair, (x1, x2)):
             if isinstance(p, bool) or not isinstance(p, numbers.Integral) or not 0 <= p < x.n:
                 raise InvalidBasepoint(f"basepoint {p!r} is not an integer in [0, {x.n})")
-        anchor = (int(basepoints[0]), int(basepoints[1]))
+        anchor = (int(pair[0]), int(pair[1]))
     elif kind in (DistanceKind.BB_GH, DistanceKind.FD_HH):
         # One structure report per side serves the class check and the
         # anchor or zero sets.
@@ -472,21 +485,18 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
                 raise NotBigBang(side)
             if kind is DistanceKind.FD_HH and space_class is SpaceClass.GENERIC:
                 raise NotFutureDeveloped(side)
-        z1, z2 = (list(r.zero_set) for r in reports)
+        zeros = tuple(list(r.zero_set) for r in reports)
         if kind is DistanceKind.BB_GH:
-            anchor = (z1[0], z2[0])
-        else:
-            zeros = (z1, z2)
-            # Id q between the zero sets is the pair of z1 x z2 at index q.
-            zero_ids = [p * x2.n + q for p in z1 for q in z2]
-            required = tuple(
-                tuple(map(zero_ids.__getitem__, zp)) for zp in _minimal_id_tuples(len(z1), len(z2))
-            )
+            anchor = (zeros[0][0], zeros[1][0])
     elif kind not in (DistanceKind.GH, DistanceKind.KAPPA_GH, DistanceKind.TAU_H):
         raise ValueError(f"unknown distance kind {kind!r}")
     n2 = x2.n
     if anchor is not None:
-        required = ((anchor[0] * n2 + anchor[1],),)
+        zeros = ([anchor[0]], [anchor[1]])
+    # Id q between the zero sets is the pair of z1 x z2 at index q.
+    zero_ids = [p * n2 + q for p in zeros[0] for q in zeros[1]]
+    required = tuple(tuple(map(zero_ids.__getitem__, zp))
+                     for zp in _minimal_id_tuples(*map(len, zeros))) or ((),)
     rows, cols = np.repeat(np.arange(x1.n), n2), np.tile(np.arange(n2), x1.n)
 
     if kind in (DistanceKind.KAPPA_GH, DistanceKind.TAU_H):
@@ -561,9 +571,9 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
             dis = DIS.tolist()
             ids = []
             # running[k] is the distortion of the first k ids; extend writes it
-            # before reading it.  A scan holds a required set and then a path,
-            # each with every pair id at most once: 2 * len(dis) ids at most.
-            running = [0.0] * (2 * len(dis) + 1)
+            # before reading it.  A scan holds a required set and then a path
+            # outside it, so every pair id at most once.
+            running = [0.0] * (len(dis) + 1)
 
             def extend(p):
                 k = len(ids)
@@ -580,37 +590,28 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         costs=costs,
         move_costs=move_costs,
         prefix=prefix,
+        zeros=zeros,
         required=required,
         floor=simple_lower_bounds(kind, a, b),
         anchor=anchor,
-        zeros=zeros,
     )
-
-
-def _joined(ids, extra):
-    """The candidate a minimal correspondence stands for under one required
-    pair set: its sorted id tuple joined with the set's ids."""
-    return tuple(sorted(set(ids).union(extra))) if extra else ids
 
 
 def _scan(obj: _Objective, total: int, budget: int):
     """The least cost among the first `budget` candidates of a set-major
     stream of `total`, and the first candidate in the stream attaining it.
 
-    A cut stream is scored in blocks of BLOCK, each block's first least
-    value kept.  A stream that fits the budget is walked once per required
-    pair set, the prefix holding the set's pairs first, and a prefix is
-    refused when its bound is not below the best candidate held: every
-    candidate below it comes later in the stream, so an equal one cannot
-    win.  Each leaf is scored by the bound of its last pair, which is its
-    candidate's cost.
+    A cut stream is scored in blocks of BLOCK, each keeping its first least
+    value.  A stream that fits the budget is walked once per required set,
+    held first; a prefix is refused when its bound is not below the best
+    held, and a leaf is scored by its last pair's (the set's if no cover).
     """
     best, best_ids = math.inf, None
-    n1, n2 = obj.n1, obj.n2
-    sets = obj.required or ((),)
+    n1, n2, zeros = obj.n1, obj.n2, obj.zeros
     if total > budget:
         stream = chain.from_iterable(
-            (_joined(ids, extra) for ids in _minimal_id_tuples(n1, n2)) for extra in sets
+            (extra + ids for ids in _minimal_id_tuples(n1, n2, covered=zeros))
+            for extra in obj.required
         )
         stream = islice(stream, budget)
         blocks = iter(lambda: list(islice(stream, BLOCK)), [])
@@ -635,17 +636,18 @@ def _scan(obj: _Objective, total: int, budget: int):
             return True
 
         def walk(extra):
+            nonlocal last
             for p in extra:
-                extend(p)
-            for ids in _minimal_id_tuples(n1, n2, admit, undo):
+                last = extend(p)
+            for ids in _minimal_id_tuples(n1, n2, admit, undo, zeros):
                 # A leaf comes right after its last id is admitted, and its
                 # prefix holds every id of its candidate: the bound of that
                 # id is the candidate's cost.
-                yield last, _joined(ids, extra)
+                yield last, extra + ids
             for _ in extra:
                 undo()
 
-        found = chain.from_iterable(map(walk, sets))
+        found = chain.from_iterable(map(walk, obj.required))
     for value, cand in found:
         if value < best:
             best, best_ids = value, cand
@@ -654,7 +656,7 @@ def _scan(obj: _Objective, total: int, budget: int):
 
 def _result(obj: _Objective, value, ids, explored, complete, exhausted=False) -> DistanceResult:
     """Assemble the certified interval for the best candidate found, given
-    by its sorted id tuple.  Only a complete scan certifies its least cost
+    by its id tuple.  Only a complete scan certifies its least cost
     (exact kinds) or half of it (the 2-approximations); otherwise the simple
     bounds alone certify lower."""
     upper = math.inf if ids is None else float(value)
@@ -664,9 +666,9 @@ def _result(obj: _Objective, value, ids, explored, complete, exhausted=False) ->
         lower = min(obj.floor, upper)
     cert = zero_pairs = None
     if ids is not None:
-        pairs = tuple(divmod(p, obj.n2) for p in ids)
+        pairs = tuple(divmod(p, obj.n2) for p in sorted(ids))
         cert = Correspondence(n1=obj.n1, n2=obj.n2, pairs=pairs, minimal=pairs_are_minimal(pairs))
-        if obj.zeros is not None:
+        if obj.kind is DistanceKind.FD_HH:
             z1, z2 = set(obj.zeros[0]), set(obj.zeros[1])
             zero_pairs = tuple((p, q) for p, q in pairs if p in z1 and q in z2)
     return DistanceResult(
@@ -700,7 +702,8 @@ def distance(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     obj = _objective(kind, a, b, tol, basepoints)
-    total = correspondence_count(obj.n1, obj.n2) * max(1, len(obj.required))
+    c1, c2 = (len(z) for z in obj.zeros)
+    total = len(obj.required) * _covers(obj.n1 - c1, c1, obj.n2 - c2, c2)
     value, ids = _scan(obj, total, budget)
     complete = total <= budget
     return _result(obj, value, ids, min(total, budget), complete, not complete)
@@ -796,13 +799,12 @@ def reevaluate(result: DistanceResult, a, b) -> float:
 # Heuristic upper bounds by local search.
 
 
-def _neighbours(cur: np.ndarray, n1: int, n2: int, pinned: int, z1: np.ndarray,
+def _neighbours(cur: np.ndarray, n1: int, n2: int, z1: np.ndarray,
                 z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every relation one local move away from the covering relation `cur`
     (its sorted pair ids) that may cost less: drop a pair, or move one
-    endpoint of a pair other than the pinned pair id, keeping both point
-    sets and both zero sets (masks z1, z2) covered.  Adding a pair never
-    lowers a cost, so no add is built.
+    endpoint of a pair, keeping both point sets and both zero sets (masks
+    z1, z2) covered.  Adding a pair never lowers a cost, so no add is built.
 
     Returns `(slot, table)`.  Row m of the table is `cur` with the id at
     slot[m] set to the row's last id: a swap puts it in place of the id it
@@ -819,16 +821,15 @@ def _neighbours(cur: np.ndarray, n1: int, n2: int, pinned: int, z1: np.ndarray,
     col_kept = np.bincount(c, minlength=n2)[c] >= 2
     zrow_kept = ~inside | (np.bincount(r[inside], minlength=n1)[r] >= 2)
     zcol_kept = ~inside | (np.bincount(c[inside], minlength=n2)[c] >= 2)
-    movable = cur != pinned
 
-    drops = np.flatnonzero(movable & row_kept & col_kept & zrow_kept & zcol_kept)
+    drops = np.flatnonzero(row_kept & col_kept & zrow_kept & zcol_kept)
     # A swap along row r re-covers r, and re-covers it inside the zero sets
     # when the new column is a zero point; likewise along column c.
     along_row = r[:, None] * n2 + np.arange(n2)
-    rs, rq = np.nonzero((movable & col_kept & zcol_kept)[:, None] & ~held[along_row]
+    rs, rq = np.nonzero((col_kept & zcol_kept)[:, None] & ~held[along_row]
                         & (zrow_kept[:, None] | z2))
     along_col = np.arange(n1) * n2 + c[:, None]
-    cs, cq = np.nonzero((movable & row_kept & zrow_kept)[:, None] & ~held[along_col]
+    cs, cq = np.nonzero((row_kept & zrow_kept)[:, None] & ~held[along_col]
                         & (zcol_kept[:, None] | z1))
     slot = np.concatenate((drops, rs, cs))
     val = np.concatenate((np.where(drops == 0, cur[-1], cur[0]), along_row[rs, rq], along_col[cs, cq]))
@@ -863,23 +864,18 @@ def local_search_upper(
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     obj = _objective(kind, a, b, tol, basepoints)
-    n1, n2, zeros = obj.n1, obj.n2, obj.zeros
-    pinned = {obj.anchor} if obj.anchor is not None else set()
-    pinned_id = -1 if obj.anchor is None else obj.anchor[0] * n2 + obj.anchor[1]
+    n1, n2 = obj.n1, obj.n2
+    z1, z2 = obj.zeros
     in_z1, in_z2 = np.zeros(n1, dtype=bool), np.zeros(n2, dtype=bool)
-    if zeros is not None:
-        in_z1[zeros[0]] = in_z2[zeros[1]] = True
+    in_z1[z1] = in_z2[z2] = True
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), n1, n2]))
 
     def start(pairs):
-        """Add the pinned pair, and relate each uncovered zero point to the
+        """Relate each zero point not yet related inside the zero sets to the
         first zero point of the other side."""
-        pairs |= pinned
-        if zeros is not None:
-            z1, z2 = zeros
-            inside = [(p, q) for p, q in pairs if p in z1 and q in z2]
-            pairs |= {(p, z2[0]) for p in set(z1) - {p for p, _ in inside}}
-            pairs |= {(z1[0], q) for q in set(z2) - {q for _, q in inside}}
+        inside = [(p, q) for p, q in pairs if p in z1 and q in z2]
+        pairs |= {(p, z2[0]) for p in set(z1) - {p for p, _ in inside}}
+        pairs |= {(z1[0], q) for q in set(z2) - {q for _, q in inside}}
         return pairs
 
     best_value = math.inf
@@ -895,7 +891,7 @@ def local_search_upper(
         explored += 1
         cur = np.array(key, dtype=np.intp)
         for _ in range(iterations):
-            slot, table = _neighbours(cur, n1, n2, pinned_id, in_z1, in_z2)
+            slot, table = _neighbours(cur, n1, n2, in_z1, in_z2)
             if not len(table):
                 break
             explored += len(table)

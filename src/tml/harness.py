@@ -7,8 +7,8 @@ slack >= -CHECK_TOL.  Observational rows (ratio logging) always pass and exist
 so reports capture the measured constants.
 
 Suites cap nmax at EXACT_NMAX, where the longest stream any scan walks (fd-hh
-with full zero sets, 184 x 184 candidates) is far below the default budget,
-so every campaign scan runs to completion.  Sequence elements grow without
+at 4 x 4 with zero sets of 4 and 2 points, 224 candidates) is far below the
+default budget, so every campaign scan runs to completion.  Sequence elements grow without
 such a cap: `run_sequence_experiment` refuses, before its first scan, a
 sequence with an element whose scans would not fit its budget.
 
@@ -521,9 +521,9 @@ def run_sequence_experiment(spec: SequenceSpec, budget: int = DEFAULT_BUDGET) ->
     base's latest time for the time-collapse family; a nonincreasing tau-h
     envelope for the refinement family.
 
-    gh, tau-h and bb-gh each scan every minimal correspondence between an
-    element and the limit once, so an element whose count exceeds the budget
-    is refused before the first scan runs: every scan runs to completion.
+    gh and tau-h scan each minimal correspondence between an element and the
+    limit once, bb-gh no more candidates: an element whose count exceeds the
+    budget is refused before the first scan, so every scan is complete.
     """
     elements, limit = build_sequence(spec)
     for element in elements:

@@ -224,6 +224,9 @@ class StructureReport:
 
 
 def structure_report(timed: TimedMetricSpace, delta: float = 0.0) -> StructureReport:
+    """The zero set (times <= delta) and the defects `classify` reads off it.
+    A delta that is not a finite real >= 0 raises ValueError."""
+    _check_tol(delta, "delta")
     tau = timed.tau
     zero = tuple(int(i) for i in range(timed.n) if tau[i] <= delta)
     if not zero:
@@ -247,12 +250,12 @@ def structure_report(timed: TimedMetricSpace, delta: float = 0.0) -> StructureRe
     )
 
 
-def _check_tol(tol) -> None:
-    """Refuse a classification tolerance that is not a finite real >= 0
-    (bools included)."""
+def _check_tol(tol, name: str = "tol") -> None:
+    """Refuse a classification tolerance `name` that is not a finite real
+    >= 0 (bools included)."""
     if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
             or not 0 <= tol < math.inf):
-        raise ValueError(f"tol must be a finite real >= 0, got {tol!r}")
+        raise ValueError(f"{name} must be a finite real >= 0, got {tol!r}")
 
 
 def classify(timed: TimedMetricSpace, tol: float = DEFAULT_TOL) -> SpaceClass:

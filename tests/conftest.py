@@ -124,6 +124,38 @@ def brute_fd(t1, t2) -> float:
     return best
 
 
+def in_family(pairs, n1: int, n2: int, zeros1, zeros2) -> bool:
+    """Full projections onto both point sets, and the pairs inside
+    zeros1 x zeros2 project onto both zero sets."""
+    if {a for a, _ in pairs} != set(range(n1)) or {b for _, b in pairs} != set(range(n2)):
+        return False
+    inside = [(a, b) for a, b in pairs if a in zeros1 and b in zeros2]
+    return {a for a, _ in inside} == set(zeros1) and {b for _, b in inside} == set(zeros2)
+
+
+def family_stream(n1: int, n2: int, zeros1=(), zeros2=()):
+    """The candidate stream of a kind whose candidates cover the zero sets
+    (none for gh, kappa-gh and tau-h; the anchor as two one-point sets for
+    pt-gh and bb-gh) as (set, rest) pairs of sorted pair tuples.  Built from
+    the joined stream, every minimal correspondence joined with every minimal
+    correspondence between the zero sets: the joins from which no pair can
+    go, each once, ordered by (set, rest)."""
+    sets = [()]
+    if zeros1:
+        sets = [
+            tuple((zeros1[i], zeros2[j]) for i, j in c.pairs)
+            for c in tml.minimal_correspondences(len(zeros1), len(zeros2))
+        ]
+    minimal = [c.pairs for c in tml.minimal_correspondences(n1, n2)]
+    found = set()
+    for k, extra in enumerate(sets):
+        for pairs in minimal:
+            joined = set(pairs) | set(extra)
+            if not any(in_family(joined - {p}, n1, n2, zeros1, zeros2) for p in joined):
+                found.add((k, tuple(sorted(joined - set(extra)))))
+    return [(sets[k], rest) for k, rest in sorted(found)]
+
+
 def tau_value_hausdorff(t1, t2) -> float:
     """Hausdorff distance between the two sets of time values on the line."""
     a = [float(v) for v in t1.tau]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tml
-from tml.engine import _minimal_id_tuples
+from tml.engine import _covers, _minimal_id_tuples
 from tml.errors import InvalidBasepoint, NotBigBang, NotFutureDeveloped
 
 from conftest import (
@@ -16,6 +16,7 @@ from conftest import (
     brute_kappa,
     brute_pointed,
     brute_tau_h,
+    family_stream,
     oracle_distortion,
     oracle_fd_objective,
     oracle_hausdorff_cost,
@@ -32,6 +33,33 @@ def minimal_filter(pairs, n1, n2):
         if {a for a, _ in rest} == set(range(n1)) and {b for _, b in rest} == set(range(n2)):
             return False
     return True
+
+
+def minimal_covers(n1, n2, zeros1, zeros2):
+    """Every relation with no pair inside zeros1 x zeros2 that covers the
+    points outside the zero sets, and stops covering them when any pair goes,
+    as sorted pair tuples in order."""
+    cells = [(a, b) for a in range(n1) for b in range(n2) if not (a in zeros1 and b in zeros2)]
+    need1, need2 = set(range(n1)) - set(zeros1), set(range(n2)) - set(zeros2)
+
+    def covers(pairs):
+        return need1 <= {a for a, _ in pairs} and need2 <= {b for _, b in pairs}
+
+    found = []
+    for mask in range(1 << len(cells)):
+        pairs = [c for k, c in enumerate(cells) if mask >> k & 1]
+        if covers(pairs) and not any(covers(pairs[:k] + pairs[k + 1:]) for k in range(len(pairs))):
+            found.append(tuple(pairs))
+    return sorted(found)
+
+
+def covered_sets(n1, n2, rng, draws):
+    """Nothing covered, everything covered, and `draws` random pairs of
+    covered row and column subsets."""
+    yield [], []
+    yield list(range(n1)), list(range(n2))
+    for _ in range(draws):
+        yield ([i for i in range(n1) if rng.random() < 0.5], [j for j in range(n2) if rng.random() < 0.5])
 
 
 def spaces_for(seed, n1, n2, timed=False):
@@ -90,10 +118,13 @@ def test_enumerator_hooks_refuse_subtrees_and_pair_up():
     # An admit that refuses some ids removes exactly the tuples holding
     # them, in stream order; each admitted id is retracted once, last in
     # first out, and the ids admitted and not yet retracted at a yield are
-    # the yielded tuple, whose last id is the last one admitted.
+    # the yielded tuple, whose last id is the last one admitted.  With covered
+    # points too; the empty cover comes before any id is admitted.
+    rng = np.random.default_rng(0)
     for n1, n2 in itertools.product(range(1, 5), repeat=2):
         cells = list(range(n1 * n2))
-        for refused in (set(), {cells[0]}, {cells[-1]}, set(cells[1::3]), set(cells[::2])):
+        refusals = (set(), {cells[0]}, {cells[-1]}, set(cells[1::3]), set(cells[::2]))
+        for refused, covered in itertools.product(refusals, covered_sets(n1, n2, rng, 2)):
             held, admitted, calls = [], [], {"admit": 0, "retract": 0}
 
             def admit(p):
@@ -109,12 +140,13 @@ def test_enumerator_hooks_refuse_subtrees_and_pair_up():
                 held.pop()
 
             walked = []
-            for ids in _minimal_id_tuples(n1, n2, admit, retract):
+            for ids in _minimal_id_tuples(n1, n2, admit, retract, covered):
                 assert tuple(held) == ids
-                assert admitted[-1] == ids[-1]
+                assert admitted[-1:] == list(ids[-1:])
                 walked.append(ids)
-            expected = [t for t in _minimal_id_tuples(n1, n2) if refused.isdisjoint(t)]
-            assert walked == expected, (n1, n2, refused)
+            stream = _minimal_id_tuples(n1, n2, covered=covered)
+            expected = [t for t in stream if refused.isdisjoint(t)]
+            assert walked == expected, (n1, n2, refused, covered)
             assert calls["admit"] == calls["retract"] and not held
 
 
@@ -124,20 +156,44 @@ def test_correspondence_count_is_the_stream_length():
     # Too long to enumerate in a test; both match a complete scan's `explored`.
     assert tml.correspondence_count(6, 6) == 63_756
     assert tml.correspondence_count(7, 7) == 1_748_803
+    # With covered points: the minimal covers of the rest, in order, and
+    # their count, against brute force over every relation.
+    rng = np.random.default_rng(1)
+    for n1, n2 in itertools.product(range(1, 5), repeat=2):
+        if n1 * n2 > 12:
+            continue
+        for z1, z2 in covered_sets(n1, n2, rng, 6 if n1 * n2 <= 9 else 3):
+            expected = minimal_covers(n1, n2, z1, z2)
+            produced = [tuple(divmod(p, n2) for p in t)
+                        for t in _minimal_id_tuples(n1, n2, covered=(z1, z2))]
+            assert produced == expected, (n1, n2, z1, z2)
+            assert _covers(n1 - len(z1), len(z1), n2 - len(z2), len(z2)) == len(expected)
 
 
 def test_stream_length_counts_zero_set_correspondences():
     x1, x2 = spaces_for(3, 4, 5)
     a = tml.random_time_function(1, x1, model="set-cone", subset_size=2)
     b = tml.random_time_function(2, x2, model="set-cone", subset_size=3)
-    # A complete scan explores its whole stream: the minimal correspondences,
-    # each once per minimal zero-set correspondence for fd-hh.
+    # A complete scan explores its whole stream: each minimal correspondence
+    # between the zero sets (none for gh and tau-h, the anchor for pt-gh)
+    # followed by each minimal cover of the points outside them.
     assert tml.correspondence_count(4, 5) == 680
     assert tml.gh_distance(x1, x2).explored == 680
     assert tml.tau_h_distance(a, b).explored == 680
-    # 2 x 3 zero sets have 6 minimal correspondences.
-    assert tml.correspondence_count(2, 3) == 6
-    assert tml.fd_hh(a, b).explored == 680 * 6
+    assert tml.pointed_gh(x1, 0, x2, 1).explored == _covers(3, 1, 4, 1) == 356
+    # 2 x 3 zero sets have 6 minimal correspondences; each is followed by
+    # the 72 minimal covers of the other 2 + 2 points.
+    assert tml.correspondence_count(2, 3) == 6 and _covers(2, 2, 2, 3) == 72
+    assert tml.fd_hh(a, b).explored == 6 * 72
+    # Full zero sets: the candidates are the minimal correspondences, 184 at
+    # 4 x 4 (33,856 joins of two of them) and 2,945 at 5 x 5 (8,673,025
+    # joins, more than the default budget).
+    for n, total in ((4, 184), (5, 2945)):
+        full = [tml.build_timed_space(x, np.zeros(n))
+                for x in (tml.random_metric_space(3, n), tml.random_metric_space(4, n, model="graph"))]
+        result = tml.fd_hh(*full)
+        assert (result.explored, result.budget_exhausted) == (total, False)
+        assert result.upper == tml.gh_distance(full[0].base, full[1].base).upper * 2.0
 
 
 def test_minimal_correspondence_stream_budget():
@@ -518,11 +574,11 @@ def test_local_search_checks_inputs_like_the_exact_drivers(path3):
     assert info.value.side == 1
     with pytest.raises(InvalidBasepoint):
         search(tml.DistanceKind.PT_GH, path3, path3, seed=0)
-    for p1, p2 in ((0, 3), (-1, 0), (1.5, 0), (True, 0)):
+    for basepoints in ((0, 3), (-1, 0), (1.5, 0), (True, 0), (0,), 5, (0, 0, 7)):
         with pytest.raises(InvalidBasepoint):
-            search(tml.DistanceKind.PT_GH, path3, path3, seed=0, basepoints=(p1, p2))
+            search(tml.DistanceKind.PT_GH, path3, path3, seed=0, basepoints=basepoints)
         with pytest.raises(InvalidBasepoint):
-            tml.pointed_gh(path3, p1, path3, p2)
+            tml.distance(tml.DistanceKind.PT_GH, path3, path3, basepoints=basepoints)
 
 
 @pytest.mark.parametrize("tol", ["x", -1.0, math.nan, math.inf, True, None])
@@ -538,6 +594,8 @@ def test_a_bad_tolerance_fails_the_same_way_everywhere(tol, path3):
             tml.local_search_upper(kind, x, x, seed=0, tol=tol, basepoints=(0, 0))
     with pytest.raises(ValueError, match=message):
         tml.classify(timed, tol=tol)
+    with pytest.raises(ValueError, match=f"^delta must be a finite real >= 0, got {tol!r}$"):
+        tml.structure_report(timed, delta=tol)
 
 
 @pytest.mark.parametrize("kind", [tml.DistanceKind.BB_GH, tml.DistanceKind.FD_HH],
@@ -669,14 +727,13 @@ def test_spaces_without_local_moves(shape):
 )
 def test_budgets_at_block_boundaries(kind):
     # Budgets on both sides of the scan's block size, of the first required
-    # set's end and of the stream's end (2,945 minimal correspondences at
-    # 5 x 5), against a plain loop over the same set-major stream with the
-    # plain objective; the certificate is the first optimum in the stream.  On
-    # these graph spaces the least pt-gh cost is tied at every budget, and the
-    # joined candidates are not in lexicographic order: the first tied
-    # candidate is not the smallest tuple.  The two-point zero sets of fd-hh
-    # have two minimal correspondences, so its stream runs through the
-    # minimal correspondences twice, once per set.
+    # set's end and of the stream's end, against a plain loop over the same
+    # set-major stream with the plain objective; the certificate is the first
+    # optimum in the stream.  At 5 x 5 the stream holds the 2,945 minimal
+    # correspondences for gh, the anchor and its 1,441 minimal covers of the
+    # rest for pt-gh, and for fd-hh each of the two minimal correspondences
+    # between its two-point zero sets and their 535 minimal covers of the
+    # rest.
     K = tml.DistanceKind
     x1 = tml.random_metric_space(4, 5, model="graph")
     x2 = tml.random_metric_space(104, 5, model="graph")
@@ -685,25 +742,24 @@ def test_budgets_at_block_boundaries(kind):
     x, y = (a, b) if kind is K.FD_HH else (x1, x2)
     anchor = (3, 2)
     if kind is K.GH:
-        sets = [()]
+        z1 = z2 = []
         plain = lambda corr: tml.engine.distortion(corr, x1, x2) / 2.0
     elif kind is K.PT_GH:
-        sets = [(anchor,)]
+        z1, z2 = [anchor[0]], [anchor[1]]
         plain = lambda corr: tml.engine.pointed_glued_objective(corr, x1, anchor[0], x2, anchor[1])
     else:
         z1, z2 = ([i for i in range(5) if t.tau[i] <= tml.DEFAULT_TOL] for t in (a, b))
-        sets = [tuple((z1[i], z2[j]) for i, j in c.pairs)
-                for c in tml.minimal_correspondences(len(z1), len(z2))]
         plain = lambda corr: tml.engine.fd_glued_objective(corr, a, b, z1, z2)
-    minimal = [c.pairs for c in tml.minimal_correspondences(5, 5)]
-    stream = [tuple(sorted(set(pairs) | set(extra))) for extra in sets for pairs in minimal]
-    assert len(stream) == 2945 * len(sets) == tml.correspondence_count(5, 5) * len(sets)
-    assert len(sets) == (2 if kind is K.FD_HH else 1)
+    family = family_stream(5, 5, z1, z2)
+    stream = [tuple(sorted(extra + rest)) for extra, rest in family]
+    first_set = sum(extra == family[0][0] for extra, _ in family)
+    assert (len(stream), first_set) == {K.GH: (2945, 2945), K.PT_GH: (1441, 1441),
+                                        K.FD_HH: (1070, 535)}[kind]
     values = [plain(tml.make_correspondence(5, 5, p)) for p in stream]
     floor = tml.simple_lower_bounds(kind, x, y)
 
     B = tml.engine.BLOCK
-    ends = {2944, 2945, 2946, len(stream) - 1, len(stream), len(stream) + 1}
+    ends = {first_set - 1, first_set, first_set + 1, len(stream) - 1, len(stream), len(stream) + 1}
     for budget in sorted({B - 1, B, B + 1, 2 * B + 1} | ends):
         best, best_pairs = math.inf, None
         for pairs, value in zip(stream[:budget], values[:budget]):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -96,9 +97,13 @@ def test_config_validation():
 
 def test_campaign_scans_always_run_to_completion(monkeypatch):
     # Campaigns take no budget: at EXACT_NMAX the longest stream any scan
-    # walks, fd-hh with full zero sets, fits the default budget, so every
-    # engine result a suite reads is complete.
-    assert tml.correspondence_count(4, 4) ** 2 == 33_856 <= tml.DEFAULT_BUDGET
+    # walks, fd-hh at 4 x 4 with zero sets of 4 and 2 points, fits the
+    # default budget, so every engine result a suite reads is complete.
+    longest = max(
+        tml.correspondence_count(z1, z2) * tml.engine._covers(n1 - z1, z1, n2 - z2, z2)
+        for n1, n2, z1, z2 in itertools.product(range(1, 5), repeat=4) if z1 <= n1 and z2 <= n2
+    )
+    assert longest == 224 <= tml.DEFAULT_BUDGET
     assert tml.harness.EXACT_NMAX == 4
     results = []
     for name in ("gh_distance", "kappa_gh_distance", "tau_h_distance", "bb_gh", "fd_hh"):
