@@ -474,6 +474,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
             if isinstance(p, bool) or not isinstance(p, numbers.Integral) or not 0 <= p < x.n:
                 raise InvalidBasepoint(f"basepoint {p!r} is not an integer in [0, {x.n})")
         anchor = (int(pair[0]), int(pair[1]))
+        zeros = ([anchor[0]], [anchor[1]])
     elif kind in (DistanceKind.BB_GH, DistanceKind.FD_HH):
         # One structure report per side serves the class check and the
         # anchor or zero sets.
@@ -491,8 +492,6 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     elif kind not in (DistanceKind.GH, DistanceKind.KAPPA_GH, DistanceKind.TAU_H):
         raise ValueError(f"unknown distance kind {kind!r}")
     n2 = x2.n
-    if anchor is not None:
-        zeros = ([anchor[0]], [anchor[1]])
     # Id q between the zero sets is the pair of z1 x z2 at index q.
     zero_ids = [p * n2 + q for p in zeros[0] for q in zeros[1]]
     required = tuple(tuple(map(zero_ids.__getitem__, zp))

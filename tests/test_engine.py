@@ -579,6 +579,9 @@ def test_local_search_checks_inputs_like_the_exact_drivers(path3):
             search(tml.DistanceKind.PT_GH, path3, path3, seed=0, basepoints=basepoints)
         with pytest.raises(InvalidBasepoint):
             tml.distance(tml.DistanceKind.PT_GH, path3, path3, basepoints=basepoints)
+        if isinstance(basepoints, tuple) and len(basepoints) == 2:
+            with pytest.raises(InvalidBasepoint):
+                tml.pointed_gh(path3, basepoints[0], path3, basepoints[1])
 
 
 @pytest.mark.parametrize("tol", ["x", -1.0, math.nan, math.inf, True, None])

@@ -152,8 +152,7 @@ def test_block_costs_equal_the_plain_functions(n1, n2, seed, masks, minimal):
             pairs = covering(rng, pairs, range(n1), range(n2))
             if obj.anchor is not None:
                 pairs.add(obj.anchor)
-            if obj.zeros is not None:
-                pairs = covering(rng, pairs, *obj.zeros)
+            pairs = covering(rng, pairs, *obj.zeros)
             block.append(tuple(sorted(pairs)))
         values = obj.costs([ids_of(pairs, n2) for pairs in block])
         assert values.shape == (len(block),)
@@ -459,11 +458,9 @@ def test_rho_prefix_bounds_equal_the_one_pair_fold(kind, n1, n2, seed, graphs, r
 
 
 def covers(pairs, n1, n2, zeros):
-    """Full projections onto both point sets and, for fd-hh, onto both zero sets."""
+    """Full projections onto both point sets and onto both zero sets."""
     if {a for a, _ in pairs} != set(range(n1)) or {b for _, b in pairs} != set(range(n2)):
         return False
-    if zeros is None:
-        return True
     z1, z2 = set(zeros[0]), set(zeros[1])
     inside = [(a, b) for a, b in pairs if a in z1 and b in z2]
     return {a for a, _ in inside} == z1 and {b for _, b in inside} == z2
@@ -490,11 +487,10 @@ def set_local_search(kind, a, b, seed, iterations, basepoints):
 
     def start(pairs):
         pairs |= pinned
-        if zeros is not None:
-            z1, z2 = zeros
-            inside = [(p, q) for p, q in pairs if p in z1 and q in z2]
-            pairs |= {(p, z2[0]) for p in set(z1) - {p for p, _ in inside}}
-            pairs |= {(z1[0], q) for q in set(z2) - {q for _, q in inside}}
+        z1, z2 = zeros
+        inside = [(p, q) for p, q in pairs if p in z1 and q in z2]
+        pairs |= {(p, z2[0]) for p in set(z1) - {p for p, _ in inside}}
+        pairs |= {(z1[0], q) for q in set(z2) - {q for _, q in inside}}
         return pairs
 
     universe = [(i, j) for i in range(n1) for j in range(n2)]
