@@ -44,30 +44,37 @@ ids, then its cover's.  Pairs appear only at the boundaries: the inputs of
 decodes and the public ``minimal_correspondences`` stream.
 
 Each kind is one objective record (``_objective``): its inputs checked, the
-table of its cost family, its batched cost and prefix bound, its zero and
-required sets.  ``distance`` is the one entry behind the six drivers: one
-scan and one result assembler serve every kind and ``local_search_upper``.
-The plain per-correspondence functions independently check certificates.
+tensor both cost families read, its batched cost, move cost and prefix bound,
+its zero and required sets.  ``distance`` is the one entry behind the six
+drivers: one scan and one result assembler serve every kind and
+``local_search_upper``.  The plain per-correspondence functions independently
+check certificates.
+
+Both cost families read one tensor, C[id, x, y] = |d1(a, x) - d2(b, y)| for
+pair id a * n2 + b.  A relation's table is rho joined with C[id] over its
+ids, where rho is the time gap for tau-h and zero for every other kind.  The
+profile-gap family (kappa-gh, tau-h) reads the table's Hausdorff value; the
+distortion family (gh, pt-gh, bb-gh, fd-hh) reads its max at the relation's
+own ids, times the kind's scale.
 
 A scan cut by its budget scores candidates in blocks, one numpy call chain
 per block.  A block is a table of pair ids, one row per candidate's id tuple;
-rows shorter than the longest repeat their first id.  Every cost is a max over
-the row's pairs (distortion or the profile-gap table rho), and a repeated
-pair changes no max, so padding needs no sentinel and no mask.  Distortion
-is a running max over row positions, so no block x k x k table is built.
-Within a block the least value goes to its first row, as in a one-at-a-time
-scan.
+rows shorter than the longest repeat their first id.  A repeated id changes
+neither the table nor its max at the row's ids, so padding needs no sentinel
+and no mask.  Within a block the least value goes to its first row, as in a
+one-at-a-time scan.
 
 Local search holds its relation as a sorted array of pair ids and builds each
 step's whole neighbourhood (every drop and one-endpoint swap that keeps both
-point sets and both zero sets covered) as one padded id table, with coverage
-read off the relation's degree counts.  It builds no add: every cost is
-monotone in the relation, so an added pair never lowers it.  Each neighbour
-is the relation with one id taken out and one put in, so its cost is the
-cost of the relation without that slot, computed once per slot, joined with
-the new id's entries: the same max over the same floats, bit for bit.  Ties
-go to the smallest id tuple among the tied rows, each read back as the set
-of its ids.
+point sets and both zero sets covered) as (slot, new) pairs: the relation
+with the id at that slot taken out and the new id put in, a drop's new id
+being one the relation already holds.  Coverage is read off the relation's
+degree counts.  It builds no add: every cost is monotone in the relation, so
+an added pair never lowers it.  The table of the relation without each slot
+is built once per step, from running maxima taken from both ends; each
+neighbour's cost reads that table with the new id's entries: the same max
+over the same floats, bit for bit.  Ties go to the smallest id tuple among
+the tied neighbours.
 
 There is one scan, ``_scan``, over a set-major stream: for each required set
 in lexicographic order, each minimal cover of the rest in enumeration order.
@@ -420,18 +427,18 @@ class _Objective:
     with the time gap joined in).
 
     `costs` maps a block (a list) of sorted id tuples to the array of their
-    per-correspondence costs.  `move_costs(cur, slot, table)` scores one
-    local-search step: row m of the pair id table is the relation `cur`
-    (sorted pair ids) with the id at slot[m] taken out and the row's last id
-    put in, padded with repeats of its own ids.  `prefix()` starts an empty
-    prefix of pairs and returns `(extend, undo)`: `extend(p)` adds pair id p
-    and returns a bound at most the cost of every candidate that holds the
-    prefix, never less than the bound before; `undo()` drops the last pair
-    added.  The bound of a prefix that holds every pair of a candidate is
-    that candidate's cost.  The rho prefix builds a node's children in
-    batches: the first `extend(p)` below a prefix bounds ids p to the end of
-    p's row in one numpy call, and later siblings in that range read their
-    table and bound from it.
+    per-correspondence costs.  `move_costs(cur, slot, new)` scores one
+    local-search step: neighbour m is the relation `cur` (sorted pair ids)
+    with the id at slot[m] taken out and new[m] put in, as `_neighbours`
+    builds them.  Both read one relation table per candidate (see the module
+    docstring).  `prefix()` starts an empty prefix of pairs and returns
+    `(extend, undo)`: `extend(p)` adds pair id p and returns a bound at most
+    the cost of every candidate that holds the prefix, never less than the
+    bound before; `undo()` drops the last pair added.  The bound of a prefix
+    that holds every pair of a candidate is that candidate's cost.  The rho
+    prefix builds a node's children in batches: the first `extend(p)` below a
+    prefix bounds ids p to the end of p's row in one numpy call, and later
+    siblings in that range read their table and bound from it.
     `zeros` holds the zero sets (for pt-gh and bb-gh the anchor as 1 x 1
     zero sets; none for gh/kappa-gh/tau-h), `required` the minimal
     correspondences between them as sorted id tuples, or the empty tuple
@@ -456,8 +463,8 @@ class _Objective:
 
 
 def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Objective:
-    """Check the inputs of `kind` and build its objective between a and b,
-    with only the table of its cost family."""
+    """Check the inputs of `kind` and build its objective between a and b
+    over the one tensor C both cost families read."""
     _check_tol(tol)
     if kind in TIMED_KINDS and not (
         isinstance(a, TimedMetricSpace) and isinstance(b, TimedMetricSpace)
@@ -497,29 +504,43 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     required = tuple(tuple(map(zero_ids.__getitem__, zp))
                      for zp in _minimal_id_tuples(*map(len, zeros))) or ((),)
     rows, cols = np.repeat(np.arange(x1.n), n2), np.tile(np.arange(n2), x1.n)
+    # C[id, a', b'] is also the distortion of the pairs id and a' * n2 + b'.
+    # The distortion family scales it: gh is half the distortion, and each
+    # glued cost equals it (see above).  Rounding is monotone, so the scaled
+    # max is the max of the scaled entries, bit for bit.
+    C = np.abs(x1.d[rows][:, :, None] - x2.d[cols][:, None, :])
+    rho = (np.abs(a.tau[:, None] - b.tau[None, :]) if kind is DistanceKind.TAU_H
+           else np.zeros((x1.n, n2)))
+    rho_family = kind in (DistanceKind.KAPPA_GH, DistanceKind.TAU_H)
+    scale = 0.5 if kind is DistanceKind.GH else 1.0
 
-    if kind in (DistanceKind.KAPPA_GH, DistanceKind.TAU_H):
-        # C[id, x, y] = |d1(a, x) - d2(b, y)| for pair id a * n2 + b; the rho
-        # table of the empty relation is zero, or the time gap for tau-h.
-        C = np.abs(x1.d[rows][:, :, None] - x2.d[cols][:, None, :])
-        rho = (np.abs(a.tau[:, None] - b.tau[None, :]) if kind is DistanceKind.TAU_H
-               else np.zeros((x1.n, n2)))
-
-        def costs(block):
-            ids = _padded(block)
-            table = np.maximum(rho, C[ids[:, 0]])
-            for j in range(1, ids.shape[1]):
-                np.maximum(table, C[ids[:, j]], out=table)
+    def costs(block):
+        ids = _padded(block)
+        table = np.maximum(rho, C[ids[:, 0]])
+        for j in range(1, ids.shape[1]):
+            np.maximum(table, C[ids[:, j]], out=table)
+        if rho_family:
             return _maxmin(table)
+        return np.take_along_axis(table.reshape(len(ids), -1), ids, axis=1).max(axis=1) * scale
 
-        def move_costs(cur, slot, table):
-            # before[s] is rho joined with the tables of the first s ids of
-            # cur, after[s] with those of the ids past slot s: together, the
-            # rho table of cur without slot s.
-            before = np.maximum.accumulate(np.concatenate((rho[None], C[cur[:-1]])))
-            after = np.maximum.accumulate(np.concatenate((rho[None], C[cur[:0:-1]])))[::-1]
-            without = np.maximum(before, after)
-            return _maxmin(np.maximum(without[slot], C[table[:, -1]]))
+    def move_costs(cur, slot, new):
+        # before[s] is rho joined with the tables of the first s ids of cur,
+        # after[s] with those of the ids past slot s: together, the table of
+        # cur without slot s.
+        before = np.maximum.accumulate(np.concatenate((rho[None], C[cur[:-1]])))
+        after = np.maximum.accumulate(np.concatenate((rho[None], C[cur[:0:-1]])))[::-1]
+        without = np.maximum(before, after)
+        if rho_family:
+            return _maxmin(np.maximum(without[slot], C[new]))
+        # M[s, j] is the distortion between slot j and the rest of cur without
+        # slot s; slot s itself is out.  C is symmetric in its two pairs, so
+        # without[s] read at new is the distortion between new and that rest.
+        flat = without.reshape(len(cur), -1)
+        M = flat[:, cur]
+        np.fill_diagonal(M, 0.0)
+        return np.maximum(M.max(axis=1)[slot], flat[slot, new]) * scale
+
+    if rho_family:
 
         def prefix():
             # tables[k] is the rho table of the first k pairs; kids[k] holds
@@ -545,29 +566,9 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
 
             return extend, undo
     else:
-        # DIS[id, id'] is the distortion contribution of two pairs times the
-        # kind's scale: gh is half the distortion, and each glued cost equals
-        # it (see above).  Rounding is monotone, so the max of scaled entries
-        # is the scaled max, bit for bit.
-        scale = 0.5 if kind is DistanceKind.GH else 1.0
-        DIS = np.abs(x1.d[np.ix_(rows, rows)] - x2.d[np.ix_(cols, cols)]) * scale
-
-        def costs(block):
-            ids = _padded(block)
-            out = DIS[ids[:, :1], ids].max(axis=1)
-            for j in range(1, ids.shape[1]):
-                np.maximum(out, DIS[ids[:, j : j + 1], ids].max(axis=1), out=out)
-            return out
-
-        def move_costs(cur, slot, table):
-            # without[s] is the distortion of cur without slot s; a masked
-            # entry counts 0, below every entry of DIS.
-            gone = np.eye(len(cur), dtype=bool)
-            without = np.where(gone[:, :, None] | gone[:, None, :], 0.0, DIS[np.ix_(cur, cur)])
-            return np.maximum(without.max(axis=(1, 2))[slot], DIS[table[:, -1:], table].max(axis=1))
 
         def prefix():
-            dis = DIS.tolist()
+            dis = (C.reshape(len(C), -1) * scale).tolist()
             ids = []
             # running[k] is the distortion of the first k ids; extend writes it
             # before reading it.  A scan holds a required set and then a path
@@ -805,11 +806,10 @@ def _neighbours(cur: np.ndarray, n1: int, n2: int, z1: np.ndarray,
     endpoint of a pair, keeping both point sets and both zero sets (masks
     z1, z2) covered.  Adding a pair never lowers a cost, so no add is built.
 
-    Returns `(slot, table)`.  Row m of the table is `cur` with the id at
-    slot[m] set to the row's last id: a swap puts it in place of the id it
-    moves, and a drop overwrites the dropped id with another id of `cur`.
+    Returns `(slot, new)`: neighbour m is `cur` with the id at slot[m] taken
+    out and new[m] put in.  A swap's new id replaces the id it moves; a
+    drop's is another id of `cur`, already held.
     """
-    k = len(cur)
     r, c = np.divmod(cur, n2)
     held = np.zeros(n1 * n2, dtype=bool)
     held[cur] = True
@@ -831,12 +831,8 @@ def _neighbours(cur: np.ndarray, n1: int, n2: int, z1: np.ndarray,
     cs, cq = np.nonzero((row_kept & zrow_kept)[:, None] & ~held[along_col]
                         & (zcol_kept[:, None] | z1))
     slot = np.concatenate((drops, rs, cs))
-    val = np.concatenate((np.where(drops == 0, cur[-1], cur[0]), along_row[rs, rq], along_col[cs, cq]))
-    table = np.empty((len(slot), k + 1), dtype=np.intp)
-    table[:, :k] = cur
-    table[:, k] = val
-    table[np.arange(len(slot)), slot] = val
-    return slot, table
+    new = np.concatenate((np.where(drops == 0, cur[-1], cur[0]), along_row[rs, rq], along_col[cs, cq]))
+    return slot, new
 
 
 def local_search_upper(
@@ -890,16 +886,17 @@ def local_search_upper(
         explored += 1
         cur = np.array(key, dtype=np.intp)
         for _ in range(iterations):
-            slot, table = _neighbours(cur, n1, n2, in_z1, in_z2)
-            if not len(table):
+            slot, new = _neighbours(cur, n1, n2, in_z1, in_z2)
+            if not len(slot):
                 break
-            explored += len(table)
-            values = obj.move_costs(cur, slot, table)
+            explored += len(slot)
+            values = obj.move_costs(cur, slot, new)
             low = values.min()
             if low >= value:
                 break
-            # Rows differ in length: a tied row's set of ids is its relation.
-            key = min(tuple(sorted(set(row))) for row in table[values == low].tolist())
+            tied = values == low
+            key = min(tuple(sorted(set(key) - {key[s]} | {p}))
+                      for s, p in zip(slot[tied].tolist(), new[tied].tolist()))
             cur, value = np.array(key, dtype=np.intp), low
         if value < best_value or (value == best_value and key < best_ids):
             best_value, best_ids = value, key
