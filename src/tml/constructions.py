@@ -20,6 +20,8 @@ from .spaces import (
     FiniteMetricSpace,
     SpaceClass,
     TimedMetricSpace,
+    _check_count,
+    _check_index,
     build_metric_space,
     build_timed_space,
     classify,
@@ -114,10 +116,8 @@ def random_metric_space(
     graph: random symmetric positive edge weights repaired into a path metric
     by shortest-path closure.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    for name, value, least in (("seed", seed, 0), ("n", n, 1), ("dim", dim, 1)):
+        _check_count(value, name, least)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), n, 0xA11CE]))
     labels = [f"p{i}" for i in range(n)]
     if model == "euclidean":
@@ -136,12 +136,12 @@ def random_metric_space(
 
 def make_future_developed(space: FiniteMetricSpace, subset) -> TimedMetricSpace:
     """Time the space by distance to a nonempty subset; exactly future developed."""
-    idx = sorted({int(i) for i in subset})
-    if not idx:
+    subset = list(subset)
+    if not subset:
         raise EmptySet("subset must be nonempty")
-    for i in idx:
-        if not (0 <= i < space.n):
-            raise ValueError(f"index {i} outside [0, {space.n})")
+    for i in subset:
+        _check_index(i, space.n)
+    idx = sorted({int(i) for i in subset})
     tau = space.d[np.array(idx, dtype=int), :].min(axis=0)
     return build_timed_space(space, tau)
 
@@ -159,13 +159,11 @@ def random_time_function(
     set-cone: distance from a random subset (exactly future developed).
     mcshane: max(0, min over random anchors of value + distance), which is
     1-Lipschitz by construction and generically of no special class.
-    `subset_size` and `anchors` must be at least 1 whatever the model; each
-    is capped at the number of points.
+    `subset_size` and `anchors` must be integers >= 1 whatever the model;
+    each is capped at the number of points.
     """
-    if subset_size < 1:
-        raise ValueError("subset_size must be at least 1")
-    if anchors < 1:
-        raise ValueError("anchors must be at least 1")
+    for name, value, least in (("seed", seed, 0), ("subset_size", subset_size, 1), ("anchors", anchors, 1)):
+        _check_count(value, name, least)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), space.n, 0x71ED]))
     if model == "cone":
         p = int(rng.integers(space.n))
@@ -205,9 +203,7 @@ def _check_spec(spec: SequenceSpec) -> None:
     if spec.family not in SEQUENCE_FAMILIES:
         raise InvalidSpec(f"unknown family {spec.family!r}")
     for name, least in (("length", 1), ("seed", 0)):
-        value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+        _check_count(getattr(spec, name), name, least, InvalidSpec)
     if isinstance(spec.rate, bool) or not isinstance(spec.rate, numbers.Real):
         raise InvalidSpec(f"rate must be a real number, got {spec.rate!r}")
     if not (0.0 < spec.rate < 1.0):

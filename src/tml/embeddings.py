@@ -26,7 +26,7 @@ from .errors import (
     IndexOutOfRange,
     TooFewCoordinates,
 )
-from .spaces import FiniteMetricSpace, TimedMetricSpace, _maxmin, _readonly
+from .spaces import FiniteMetricSpace, TimedMetricSpace, _check_index, _maxmin, _readonly
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ def _check_enumeration(n: int, enum: Enumeration) -> None:
     if len(enum.seq) == 0:
         raise IncompleteEnumeration("enumeration is empty")
     for k in enum.seq:
-        if not (0 <= k < n):
-            raise IndexOutOfRange(f"enumeration index {k} outside [0, {n})")
+        _check_index(k, n, "enumeration index", IndexOutOfRange)
     if len(set(enum.seq)) != n:
         missing = sorted(set(range(n)) - set(enum.seq))
         raise IncompleteEnumeration(f"enumeration misses points {missing}")
@@ -111,6 +110,5 @@ def hausdorff_in(space: FiniteMetricSpace, subset_a, subset_b) -> float:
     if not a or not b:
         raise EmptySubset("subsets must be nonempty")
     for i in a + b:
-        if not (0 <= i < space.n):
-            raise IndexOutOfRange(f"index {i} outside [0, {space.n})")
+        _check_index(i, space.n, error=IndexOutOfRange)
     return _maxmin(space.d[np.ix_(a, b)])

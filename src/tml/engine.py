@@ -118,6 +118,7 @@ from .spaces import (
     FiniteMetricSpace,
     SpaceClass,
     TimedMetricSpace,
+    _check_index,
     _check_tol,
     _maxmin,
     report_class,
@@ -164,10 +165,11 @@ def pairs_are_minimal(pairs) -> bool:
 
 def make_correspondence(n1: int, n2: int, pairs) -> Correspondence:
     """Validate full projections, sort the pairs, and tag minimality."""
-    pairs = tuple(sorted({(int(a), int(b)) for a, b in pairs}))
+    pairs = list(pairs)
     for a, b in pairs:
-        if not (0 <= a < n1 and 0 <= b < n2):
-            raise ValueError(f"pair ({a}, {b}) outside {n1} x {n2}")
+        _check_index(a, n1, "row")
+        _check_index(b, n2, "column")
+    pairs = tuple(sorted({(int(a), int(b)) for a, b in pairs}))
     if {a for a, _ in pairs} != set(range(n1)) or {b for _, b in pairs} != set(range(n2)):
         raise ValueError("pairs do not project onto both point sets")
     return Correspondence(n1=n1, n2=n2, pairs=pairs, minimal=pairs_are_minimal(pairs))
@@ -342,6 +344,8 @@ def pointed_glued_objective(
     Requires the basepoint pair to be related, so the gluing keeps the
     basepoints close.
     """
+    _check_index(p1, x1.n, "basepoint", InvalidBasepoint)
+    _check_index(p2, x2.n, "basepoint", InvalidBasepoint)
     if (p1, p2) not in set(corr.pairs):
         raise InvalidBasepoint(f"basepoint pair ({p1}, {p2}) is not in the correspondence")
     cross = glued_cross_distances(x1, x2, corr, distortion(corr, x1, x2) / 2.0)
@@ -360,6 +364,9 @@ def fd_glued_objective(
     the zero sets must itself have full projections onto them."""
     z1 = list(zeros1)
     z2 = list(zeros2)
+    for z, t in ((z1, t1), (z2, t2)):
+        for i in z:
+            _check_index(i, t.n, "zero point")
     restricted = [(a, b) for a, b in corr.pairs if a in set(z1) and b in set(z2)]
     if {a for a, _ in restricted} != set(z1) or {b for _, b in restricted} != set(z2):
         raise ValueError("correspondence does not cover both zero sets")
@@ -478,8 +485,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         if len(pair) != 2:
             raise InvalidBasepoint(f"pt-gh needs a basepoint pair, got {basepoints!r}")
         for p, x in zip(pair, (x1, x2)):
-            if isinstance(p, bool) or not isinstance(p, numbers.Integral) or not 0 <= p < x.n:
-                raise InvalidBasepoint(f"basepoint {p!r} is not an integer in [0, {x.n})")
+            _check_index(p, x.n, "basepoint", InvalidBasepoint)
         anchor = (int(pair[0]), int(pair[1]))
         zeros = ([anchor[0]], [anchor[1]])
     elif kind in (DistanceKind.BB_GH, DistanceKind.FD_HH):
@@ -781,6 +787,9 @@ def reevaluate(result: DistanceResult, a, b) -> float:
     if result.certificate is None:
         raise ValueError("result carries no certificate")
     corr = result.certificate
+    if (corr.n1, corr.n2) != (a.n, b.n):
+        raise ValueError(f"the certificate relates {corr.n1} x {corr.n2} points, "
+                         f"not {a.n} x {b.n}")
     if result.kind is DistanceKind.GH:
         return distortion(corr, _base_of(a), _base_of(b)) / 2.0
     if result.kind is DistanceKind.KAPPA_GH:

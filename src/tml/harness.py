@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -49,6 +48,7 @@ from .spaces import (
     DEFAULT_TOL,
     SpaceClass,
     TimedMetricSpace,
+    _check_count,
     build_metric_space,
     build_timed_space,
     classify,
@@ -462,9 +462,7 @@ def _check_config(cfg: CampaignConfig) -> None:
     if cfg.suite not in SUITES:
         raise InvalidSpec(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITES)}")
     for name, least in (("trials", 1), ("nmax", 1), ("seed", 0)):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+        _check_count(getattr(cfg, name), name, least, InvalidSpec)
     if cfg.nmax > EXACT_NMAX:
         raise BudgetTooSmall(
             f"suites need exact distances, which caps nmax at {EXACT_NMAX} "

@@ -10,6 +10,7 @@ developed") are recognized by ``classify`` via defect functionals computed in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -116,8 +117,10 @@ def metric_violations(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     block's arrays in memory, never the n**3 gap table: TRIANGLE_CELLS
     entries each, or n * n when one row alone has more.  Each gap is
     d[i][k] - (d[i][j] + d[j][k]), rounded as written, so amounts and the
-    test against tol match a plain loop over the triples bit for bit.
+    test against tol match a plain loop over the triples bit for bit.  A tol
+    that is not a finite real >= 0 raises ValueError.
     """
+    _check_tol(tol)
     d = np.asarray(matrix, dtype=float)
     n = d.shape[0]
     found = [NonzeroDiagonal(i, v) for i, v in enumerate(d.diagonal().tolist()) if v != 0.0]
@@ -152,7 +155,9 @@ def metric_violations(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> list:
 
 
 def time_violations(space: FiniteMetricSpace, tau: np.ndarray, tol: float = DEFAULT_TOL) -> list:
-    """Collect violations of nonnegativity and the 1-Lipschitz property of tau."""
+    """Collect violations of nonnegativity and the 1-Lipschitz property of tau.
+    A tol that is not a finite real >= 0 raises ValueError."""
+    _check_tol(tol)
     t = np.asarray(tau, dtype=float)
     found = [NegativeTime(i, v) for i, v in enumerate(t.tolist()) if v < 0.0]
     gap = np.abs(t[:, None] - t) - space.d
@@ -256,6 +261,20 @@ def _check_tol(tol, name: str = "tol") -> None:
     if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
             or not 0 <= tol < math.inf):
         raise ValueError(f"{name} must be a finite real >= 0, got {tol!r}")
+
+
+def _check_index(i, n: int, name: str = "index", error: type[Exception] = ValueError) -> None:
+    """Refuse, with `error`, an index `name` that is not an integer in
+    [0, n): a bool or a float is refused too."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < n:
+        raise error(f"{name} {i!r} is not an integer in [0, {n})")
+
+
+def _check_count(value, name: str, least: int, error: type[Exception] = ValueError) -> None:
+    """Refuse, with `error`, a count `name` that is not an integer >= least:
+    a bool or a float is refused too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def classify(timed: TimedMetricSpace, tol: float = DEFAULT_TOL) -> SpaceClass:

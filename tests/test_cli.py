@@ -93,7 +93,7 @@ def test_gen_rejects_a_dimension_below_one(dim, tmp_path, capsys):
     target = tmp_path / "space.json"
     code, out, err = run(capsys, "gen", "--n", "3", "--seed", "1", "--dim", dim, "-o", str(target))
     assert code == 2
-    assert err == "error: dim must be at least 1\n"
+    assert err == f"error: dim must be an integer >= 1, got {dim}\n"
     assert not target.exists()
 
 
@@ -104,7 +104,7 @@ def test_gen_rejects_a_count_below_one(option, value, tmp_path, capsys):
                          option, value, "-o", str(target))
     assert code == 2
     name = option[2:].replace("-", "_")
-    assert err == f"error: {name} must be at least 1\n"
+    assert err == f"error: {name} must be an integer >= 1, got {value}\n"
     assert not target.exists()
 
 

@@ -112,6 +112,13 @@ def test_one_point_space():
         tml.random_metric_space(0, 0)
     with pytest.raises(ValueError):
         tml.random_metric_space(0, 3, model="grid")
+    # Counts are integers, as a sequence spec's are: no bool, no float.
+    for args, name, value in (((0, True), "n", "True"), ((0, 2.5), "n", "2.5"),
+                              ((1.5, 3), "seed", "1.5"), ((-1, 3), "seed", "-1"),
+                              ((0, 3, "euclidean", 2.0), "dim", "2.0")):
+        least = 0 if name == "seed" else 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, got {value}$"):
+            tml.random_metric_space(*args)
 
 
 def test_time_function_models(path3):
@@ -131,6 +138,11 @@ def test_time_function_models(path3):
     assert np.array_equal(same.tau, again.tau)
     with pytest.raises(ValueError):
         tml.random_time_function(1, path3, model="linear")
+    for name, value in (("subset_size", 1.5), ("subset_size", True), ("anchors", 0), ("seed", -2)):
+        least = 0 if name == "seed" else 1
+        args = {"seed": 1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, got {value}$"):
+            tml.random_time_function(space=path3, model="set-cone", **args)
 
 
 def test_make_future_developed(path3):
@@ -145,6 +157,10 @@ def test_make_future_developed(path3):
         tml.make_future_developed(path3, [])
     with pytest.raises(ValueError):
         tml.make_future_developed(path3, [5])
+    # 0.7 would time the space from point 0, True from point 1.
+    for index in (0.7, True, "1"):
+        with pytest.raises(ValueError, match=rf"^index {index!r} is not an integer in \[0, 3\)$"):
+            tml.make_future_developed(path3, [2, index])
 
 
 def bb_base(seed=17, n=4):

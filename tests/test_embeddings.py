@@ -19,6 +19,9 @@ def test_enumeration_must_cover(path3):
         tml.frechet_embed(path3, tml.Enumeration(seq=()))
     with pytest.raises(IndexOutOfRange):
         tml.frechet_embed(path3, tml.Enumeration(seq=(0, 1, 3)))
+    # True would stand for point 1.
+    with pytest.raises(IndexOutOfRange, match=r"^enumeration index True is not an integer in \[0, 3\)$"):
+        tml.frechet_embed(path3, tml.Enumeration(seq=(True, 0, 2)))
 
 
 def test_profile_coordinates(path3):
@@ -103,3 +106,6 @@ def test_hausdorff_in_subsets(path3):
     assert tml.hausdorff_in(path3, [0], [0, 2]) == 2.0
     with pytest.raises(EmptySubset):
         tml.hausdorff_in(path3, [], [0])
+    # True would stand for point 1.
+    with pytest.raises(IndexOutOfRange, match=r"^index True is not an integer in \[0, 3\)$"):
+        tml.hausdorff_in(path3, [True], [0])

@@ -219,6 +219,11 @@ def test_make_correspondence_and_transpose():
         tml.make_correspondence(2, 2, [(0, 0)])
     with pytest.raises(ValueError):
         tml.make_correspondence(2, 2, [(0, 0), (1, 2)])
+    # An index that is not an integer is refused, not coerced.
+    for pair, name, value in (((0.5, 0), "row", "0.5"), ((True, 0), "row", "True"),
+                              (("0", 0), "row", "'0'"), ((1, 1.0), "column", "1.0")):
+        with pytest.raises(ValueError, match=rf"^{name} {value} is not an integer in \[0, 2\)$"):
+            tml.make_correspondence(2, 2, [pair, (1, 1), (0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +304,12 @@ def test_pointed_objective_requires_related_basepoints(path3):
     corr = tml.make_correspondence(3, 3, [(0, 0), (1, 1), (2, 2)])
     with pytest.raises(InvalidBasepoint):
         tml.engine.pointed_glued_objective(corr, path3, 0, path3, 1)
+    # (True, 1) would pass as the related pair (1, 1).
+    with pytest.raises(InvalidBasepoint, match=r"^basepoint True is not an integer in \[0, 3\)$"):
+        tml.engine.pointed_glued_objective(corr, path3, True, path3, 1)
+    timed = tml.make_future_developed(path3, [1])
+    with pytest.raises(ValueError, match=r"^zero point True is not an integer in \[0, 3\)$"):
+        tml.engine.fd_glued_objective(corr, timed, timed, [True], [1])
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +539,10 @@ def test_reevaluate_reproduces_upper(path3):
     ]
     for result, a, b in checks:
         assert tml.reevaluate(result, a, b) == result.upper
+    # Spaces swapped: refused by size, not read out of range.
+    x4 = tml.random_metric_space(32, 4)
+    with pytest.raises(ValueError, match=r"^the certificate relates 3 x 4 points, not 4 x 3$"):
+        tml.reevaluate(tml.gh_distance(path3, x4), x4, path3)
 
 
 def test_local_search_certifies_upper_bounds(path3):
@@ -584,9 +599,10 @@ def test_local_search_checks_inputs_like_the_exact_drivers(path3):
                 tml.pointed_gh(path3, basepoints[0], path3, basepoints[1])
 
 
-@pytest.mark.parametrize("tol", ["x", -1.0, math.nan, math.inf, True, None])
+@pytest.mark.parametrize("tol", ["x", -1.0, math.nan, math.inf, True, None, -5])
 def test_a_bad_tolerance_fails_the_same_way_everywhere(tol, path3):
-    # Every kind checks tol, not only the two that classify with it.
+    # Every kind checks tol, not only the two that classify with it, and so
+    # does every validator and builder that takes one.
     timed = tml.build_timed_space(path3, path3.d[0])
     message = f"^tol must be a finite real >= 0, got {tol!r}$"
     for kind in tml.DistanceKind:
@@ -597,6 +613,19 @@ def test_a_bad_tolerance_fails_the_same_way_everywhere(tol, path3):
             tml.local_search_upper(kind, x, x, seed=0, tol=tol, basepoints=(0, 0))
     with pytest.raises(ValueError, match=message):
         tml.classify(timed, tol=tol)
+    # A broken triangle (by 3.0), a time function that breaks 1-Lipschitz
+    # (by 6.0), and a gluing at offset 0 that makes distinct points coincide.
+    broken = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+    identity = tml.make_correspondence(3, 3, [(i, i) for i in range(3)])
+    for call in (
+        lambda: tml.metric_violations(np.array(broken), tol),
+        lambda: tml.build_metric_space("abc", broken, tol=tol),
+        lambda: tml.time_violations(path3, np.array([0.0, 0.0, 8.0]), tol),
+        lambda: tml.build_timed_space(path3, [0.0, 0.0, 8.0], tol=tol),
+        lambda: tml.glue_by_correspondence(path3, path3, identity, 0.0, tol=tol),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
     with pytest.raises(ValueError, match=f"^delta must be a finite real >= 0, got {tol!r}$"):
         tml.structure_report(timed, delta=tol)
 

@@ -121,6 +121,8 @@ def ids_of(pairs, n2):
     masks=st.lists(st.integers(0, 2**25 - 1), min_size=1, max_size=10),
     minimal=st.integers(0, 4),
 )
+# The full 4 x 5 grid: every pair can be dropped; set-cone zero sets of two.
+@example(n1=4, n2=5, seed=3, masks=[2**20 - 1], minimal=3)
 def test_block_costs_equal_the_plain_functions(n1, n2, seed, masks, minimal):
     # A block of relations of mixed lengths: random grid subsets made to
     # cover (rarely minimal) and the first minimal correspondences.
@@ -158,6 +160,19 @@ def test_block_costs_equal_the_plain_functions(n1, n2, seed, masks, minimal):
         assert values.shape == (len(block),)
         for pairs, value in zip(block, values):
             assert value == cost(tml.make_correspondence(n1, n2, pairs), obj)
+        # The move cost of every local-search neighbour, drops included, is
+        # the plain cost of the relation with the slot's id swapped for new.
+        in_z1, in_z2 = np.zeros(n1, dtype=bool), np.zeros(n2, dtype=bool)
+        in_z1[obj.zeros[0]] = in_z2[obj.zeros[1]] = True
+        for pairs in block:
+            cur = np.array(ids_of(pairs, n2), dtype=np.intp)
+            slot, new = engine._neighbours(cur, n1, n2, in_z1, in_z2)
+            moved = obj.move_costs(cur, slot, new)
+            assert moved.shape == slot.shape
+            for s, p, value in zip(slot.tolist(), new.tolist(), moved):
+                ids = set(cur.tolist()) - {int(cur[s])} | {p}
+                corr = tml.make_correspondence(n1, n2, [divmod(i, n2) for i in ids])
+                assert value == cost(corr, obj), (kind, pairs, s, p)
 
 
 def plain_cost(kind, a, b, anchor, zeros):
