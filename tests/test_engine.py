@@ -614,7 +614,7 @@ def test_a_bad_tolerance_fails_the_same_way_everywhere(tol, path3):
     with pytest.raises(ValueError, match=message):
         tml.classify(timed, tol=tol)
     # A broken triangle (by 3.0), a time function that breaks 1-Lipschitz
-    # (by 6.0), and a gluing at offset 0 that makes distinct points coincide.
+    # (by 7.0), and a gluing at offset 0 that makes distinct points coincide.
     broken = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
     identity = tml.make_correspondence(3, 3, [(i, i) for i in range(3)])
     for call in (
