@@ -118,6 +118,7 @@ from .spaces import (
     FiniteMetricSpace,
     SpaceClass,
     TimedMetricSpace,
+    _check_count,
     _check_index,
     _check_tol,
     _maxmin,
@@ -165,6 +166,7 @@ def pairs_are_minimal(pairs) -> bool:
 
 def make_correspondence(n1: int, n2: int, pairs) -> Correspondence:
     """Validate full projections, sort the pairs, and tag minimality."""
+    _check_counts(n1, n2)
     pairs = list(pairs)
     for a, b in pairs:
         _check_index(a, n1, "row")
@@ -173,6 +175,18 @@ def make_correspondence(n1: int, n2: int, pairs) -> Correspondence:
     if {a for a, _ in pairs} != set(range(n1)) or {b for _, b in pairs} != set(range(n2)):
         raise ValueError("pairs do not project onto both point sets")
     return Correspondence(n1=n1, n2=n2, pairs=pairs, minimal=pairs_are_minimal(pairs))
+
+
+def _check_counts(n1, n2) -> None:
+    """Refuse point counts that are not integers >= 0 (bools and floats too)."""
+    _check_count(n1, "n1", 0)
+    _check_count(n2, "n2", 0)
+
+
+def _check_sizes(corr: Correspondence, a, b, name: str = "correspondence") -> None:
+    """Refuse a correspondence whose point counts are not those of spaces a, b."""
+    if (corr.n1, corr.n2) != (a.n, b.n):
+        raise ValueError(f"the {name} relates {corr.n1} x {corr.n2} points, not {a.n} x {b.n}")
 
 
 def transpose(corr: Correspondence) -> Correspondence:
@@ -186,63 +200,92 @@ def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, covered=((), 
     sorted tuple of its pair ids (a * n2 + b for pair (a, b)).  Ids order as
     pairs do.  With nothing covered these are the minimal correspondences.
 
-    Rows are processed in order; each row picks a column set in one loop over
-    its columns, recursing into each column it takes and ending the row after
-    the loop, so a set's extensions come before the set itself and complete
-    relations appear in lexicographic order of their sorted pair tuples.
     Every pair needs an uncovered endpoint of degree one: the star shape
     minimality demands.  A row takes one column, or two or more it owns
     (frozen for everyone else).  A covered row starts out holding a column
     of its own, so it owns what it takes and may take nothing; a covered
-    column starts at degree one.  The last row must take every column still
-    uncovered, returning at the first it would leave.
+    column starts at degree one.
+
+    One loop walks the tree on an explicit stack: the column list each row
+    above the current one has taken, which also says where that row resumes.
+    A row tries its columns in order from where it resumes; taking a column
+    adds it to the row's list and goes on to the next column, so a set's
+    extensions come before the set itself, and a row whose columns are all
+    tried ends with its set, descending to the next row.  Backing out of a
+    row drops the last column of the nearest row above that has one and
+    resumes that row past it.  Complete relations therefore appear in
+    lexicographic order of their sorted pair tuples.  The last row is read
+    off, not walked: it takes every column still uncovered, in order, as
+    one leaf; if none is left, an uncovered last row takes each unfrozen
+    column singly, a leaf each, and a covered one takes nothing.
 
     The ids taken so far are kept in the list `prefix`.  A scan prunes
     through `admit(p)`: called before id p joins the prefix, it may refuse
     the whole subtree below; `retract()` follows every admitted id when the
-    recursion backs out of it.  A nonempty tuple is yielded right after its
-    last id is admitted: every id asked for after it is an uncovered column
-    that the tuple leaves uncovered.
+    walk backs out of it.  No last-row id is asked for unless it can end in
+    a leaf, and a nonempty tuple is yielded right after its last id is
+    admitted.
     """
-    # Row r picks into heads[r], left as found by each visit.  A covered row
+    if n1 < 1 or n2 < 1:
+        return
+    # Row r takes into heads[r], left as found by each visit.  A covered row
     # starts out holding column n2 + r, which no other row sees: degree zero.
     heads = [[n2 + r] if r in covered[0] else [] for r in range(n1)]
     col_deg = [int(c in covered[1]) for c in range(n2)] + [0] * n1
     frozen = [False] * (n2 + n1)
     prefix = []
-
-    def row(r: int, start: int, chosen: list[int]):
-        last = r == n1 - 1
+    last = n1 - 1
+    r = c = 0  # the current row and the first column it has left to try
+    while True:
+        chosen = heads[r]
         base = r * n2
-        for c in range(start, n2):
-            takeable = col_deg[c] == 0 and col_deg[chosen[0]] == 0 if chosen else not frozen[c]
-            if takeable and (admit is None or admit(base + c)):
-                chosen.append(c)
-                prefix.append(base + c)
-                yield from row(r, c + 1, chosen)
+        if r < last:
+            for c in range(c, n2):
+                takeable = col_deg[c] == 0 and col_deg[chosen[0]] == 0 if chosen else not frozen[c]
+                if takeable and (admit is None or admit(base + c)):
+                    chosen.append(c)
+                    prefix.append(base + c)
+            if chosen:
+                multi = len(chosen) >= 2
+                for j in chosen:
+                    col_deg[j] += 1
+                    frozen[j] = multi
+                r, c = r + 1, 0
+                continue
+        else:
+            leaf = [base + c for c in range(n2) if col_deg[c] == 0]
+            if leaf or chosen:
+                taken = 0
+                for p in leaf:
+                    if admit is not None and not admit(p):
+                        break
+                    taken += 1
+                if taken == len(leaf):
+                    yield (*prefix, *leaf)
+                if retract is not None:
+                    for _ in range(taken):
+                        retract()
+            else:
+                for c in range(n2):
+                    if not frozen[c] and (admit is None or admit(base + c)):
+                        yield (*prefix, base + c)
+                        if retract is not None:
+                            retract()
+        # Back out to the nearest row above with a column of its own to drop.
+        while True:
+            r -= 1
+            if r < 0:
+                return
+            chosen = heads[r]
+            for j in chosen:
+                col_deg[j] -= 1
+                frozen[j] = False
+            if chosen[-1] < n2:
+                c = chosen.pop() + 1
                 prefix.pop()
-                chosen.pop()
                 if retract is not None:
                     retract()
-            # The last row must cover every still-uncovered column.
-            if last and col_deg[c] == 0:
-                return
-        if not chosen:
-            return
-        if last:
-            yield tuple(prefix)
-            return
-        multi = len(chosen) >= 2
-        for j in chosen:
-            col_deg[j] += 1
-            frozen[j] = multi
-        yield from row(r + 1, 0, heads[r + 1])
-        for j in chosen:
-            col_deg[j] -= 1
-            frozen[j] = False
-
-    if n1 >= 1 and n2 >= 1:
-        yield from row(0, 0, heads[0])
+                break
 
 
 @lru_cache(maxsize=None)
@@ -268,11 +311,13 @@ def _covers(u1: int, c1: int, u2: int, c2: int) -> int:
 def correspondence_count(n1: int, n2: int) -> int:
     """Number of minimal correspondences between n1 and n2 points, counted
     without enumerating them: the length of a complete scan's stream."""
+    _check_counts(n1, n2)
     return _covers(n1, 0, n2, 0) if n1 >= 1 and n2 >= 1 else 0
 
 
 def minimal_correspondences(n1: int, n2: int, budget: int | None = None):
     """Stream every minimal correspondence, truncating after `budget` emissions."""
+    _check_counts(n1, n2)
     if budget is not None and (
         isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 0
     ):
@@ -290,6 +335,7 @@ def minimal_correspondences(n1: int, n2: int, budget: int | None = None):
 
 
 def distortion(corr: Correspondence, x1: FiniteMetricSpace, x2: FiniteMetricSpace) -> float:
+    _check_sizes(corr, x1, x2)
     out = 0.0
     for a, b in corr.pairs:
         for a2, b2 in corr.pairs:
@@ -309,6 +355,7 @@ def correspondence_hausdorff(
     corr: Correspondence, x1: FiniteMetricSpace, x2: FiniteMetricSpace
 ) -> float:
     """Hausdorff cost of the profile embeddings read off the correspondence."""
+    _check_sizes(corr, x1, x2)
     return _maxmin(_rho_matrix(corr, x1, x2))
 
 
@@ -316,6 +363,7 @@ def timed_correspondence_hausdorff(
     corr: Correspondence, t1: TimedMetricSpace, t2: TimedMetricSpace
 ) -> float:
     """Same cost with the time coordinate joined in."""
+    _check_sizes(corr, t1, t2)
     rho = _rho_matrix(corr, t1.base, t2.base)
     rho = np.maximum(rho, np.abs(t1.tau[:, None] - t2.tau[None, :]))
     return _maxmin(rho)
@@ -344,6 +392,7 @@ def pointed_glued_objective(
     Requires the basepoint pair to be related, so the gluing keeps the
     basepoints close.
     """
+    _check_sizes(corr, x1, x2)
     _check_index(p1, x1.n, "basepoint", InvalidBasepoint)
     _check_index(p2, x2.n, "basepoint", InvalidBasepoint)
     if (p1, p2) not in set(corr.pairs):
@@ -362,6 +411,7 @@ def fd_glued_objective(
     """Sum of the full Hausdorff cost and the zero-set Hausdorff cost in the
     gluing at half the distortion.  The restriction of the correspondence to
     the zero sets must itself have full projections onto them."""
+    _check_sizes(corr, t1, t2)
     z1 = list(zeros1)
     z2 = list(zeros2)
     for z, t in ((z1, t1), (z2, t2)):
@@ -787,9 +837,7 @@ def reevaluate(result: DistanceResult, a, b) -> float:
     if result.certificate is None:
         raise ValueError("result carries no certificate")
     corr = result.certificate
-    if (corr.n1, corr.n2) != (a.n, b.n):
-        raise ValueError(f"the certificate relates {corr.n1} x {corr.n2} points, "
-                         f"not {a.n} x {b.n}")
+    _check_sizes(corr, a, b, "certificate")
     if result.kind is DistanceKind.GH:
         return distortion(corr, _base_of(a), _base_of(b)) / 2.0
     if result.kind is DistanceKind.KAPPA_GH:
