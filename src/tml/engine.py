@@ -20,6 +20,13 @@ where every related pair has an endpoint of degree one).
 ``minimal_correspondences`` streams them exactly once each, in lexicographic
 order of their sorted pair tuples.
 
+Every stream comes from one loop, ``_minimal_id_tuples``.  It walks the tree
+of row choices on an explicit stack (the columns each row above has taken),
+so each candidate is yielded from one frame, and it reads the last row off
+directly: every column still uncovered as one leaf, or else each unfrozen
+column alone.  No last-row pair that cannot end in a candidate reaches the
+scan's prune hook.
+
 Each glued objective equals the distortion dis(R) of its correspondence R,
 bit for bit (halving and doubling are exact).  With delta = dis(R) / 2, every
 cross entry d1(x, a) + delta + d2(b, y) is at least delta, and the entry of a
@@ -206,13 +213,13 @@ def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, covered=((), 
     of its own, so it owns what it takes and may take nothing; a covered
     column starts at degree one.
 
-    One loop walks the tree on an explicit stack: the column list each row
-    above the current one has taken, which also says where that row resumes.
-    A row tries its columns in order from where it resumes; taking a column
-    adds it to the row's list and goes on to the next column, so a set's
-    extensions come before the set itself, and a row whose columns are all
-    tried ends with its set, descending to the next row.  Backing out of a
-    row drops the last column of the nearest row above that has one and
+    One loop walks the tree on an explicit stack: the column list of each
+    row above the current one, whose last column says where that row
+    resumes.  A row tries its columns in order from where it resumes; taking
+    a column adds it to the row's list and goes on to the next column, so a
+    set's extensions come before the set itself.  Once its columns are all
+    tried, a row holding a set descends to the next row with it.  Backing
+    out drops the last column of the nearest row above that took one and
     resumes that row past it.  Complete relations therefore appear in
     lexicographic order of their sorted pair tuples.  The last row is read
     off, not walked: it takes every column still uncovered, in order, as
@@ -271,7 +278,7 @@ def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, covered=((), 
                         yield (*prefix, base + c)
                         if retract is not None:
                             retract()
-        # Back out to the nearest row above with a column of its own to drop.
+        # Back out to the nearest row above that took a column; drop its last.
         while True:
             r -= 1
             if r < 0:
@@ -374,6 +381,7 @@ def glued_cross_distances(
 ) -> np.ndarray:
     """Cross-distance table of the gluing: min over related (a, b) of
     d1(x, a) + delta + d2(b, y).  A metric whenever delta >= distortion / 2."""
+    _check_sizes(corr, x1, x2)
     rows = np.array([a for a, _ in corr.pairs], dtype=int)
     cols = np.array([b for _, b in corr.pairs], dtype=int)
     sums = x1.d[rows][:, :, None] + x2.d[cols][:, None, :]

@@ -156,6 +156,77 @@ def family_stream(n1: int, n2: int, zeros1=(), zeros2=()):
     return [(sets[k], rest) for k, rest in sorted(found)]
 
 
+# The recursive enumerator the engine's one-loop `_minimal_id_tuples`
+# replaced, kept verbatim as the reference it must agree with: the same
+# stream, the same admit/retract pairing, and the same asks except the
+# last-row ids that cannot end in a leaf, which only this one asks for.
+
+
+def recursive_id_tuples(n1: int, n2: int, admit=None, retract=None, covered=((), ())):
+    """Yield every minimal cover of the points outside `covered` (rows,
+    columns) with no pair between two covered points exactly once, as the
+    sorted tuple of its pair ids (a * n2 + b for pair (a, b)).  Ids order as
+    pairs do.  With nothing covered these are the minimal correspondences.
+
+    Rows are processed in order; each row picks a column set in one loop over
+    its columns, recursing into each column it takes and ending the row after
+    the loop, so a set's extensions come before the set itself and complete
+    relations appear in lexicographic order of their sorted pair tuples.
+    Every pair needs an uncovered endpoint of degree one: the star shape
+    minimality demands.  A row takes one column, or two or more it owns
+    (frozen for everyone else).  A covered row starts out holding a column
+    of its own, so it owns what it takes and may take nothing; a covered
+    column starts at degree one.  The last row must take every column still
+    uncovered, returning at the first it would leave.
+
+    The ids taken so far are kept in the list `prefix`.  A scan prunes
+    through `admit(p)`: called before id p joins the prefix, it may refuse
+    the whole subtree below; `retract()` follows every admitted id when the
+    recursion backs out of it.  A nonempty tuple is yielded right after its
+    last id is admitted: every id asked for after it is an uncovered column
+    that the tuple leaves uncovered.
+    """
+    # Row r picks into heads[r], left as found by each visit.  A covered row
+    # starts out holding column n2 + r, which no other row sees: degree zero.
+    heads = [[n2 + r] if r in covered[0] else [] for r in range(n1)]
+    col_deg = [int(c in covered[1]) for c in range(n2)] + [0] * n1
+    frozen = [False] * (n2 + n1)
+    prefix = []
+
+    def row(r: int, start: int, chosen: list[int]):
+        last = r == n1 - 1
+        base = r * n2
+        for c in range(start, n2):
+            takeable = col_deg[c] == 0 and col_deg[chosen[0]] == 0 if chosen else not frozen[c]
+            if takeable and (admit is None or admit(base + c)):
+                chosen.append(c)
+                prefix.append(base + c)
+                yield from row(r, c + 1, chosen)
+                prefix.pop()
+                chosen.pop()
+                if retract is not None:
+                    retract()
+            # The last row must cover every still-uncovered column.
+            if last and col_deg[c] == 0:
+                return
+        if not chosen:
+            return
+        if last:
+            yield tuple(prefix)
+            return
+        multi = len(chosen) >= 2
+        for j in chosen:
+            col_deg[j] += 1
+            frozen[j] = multi
+        yield from row(r + 1, 0, heads[r + 1])
+        for j in chosen:
+            col_deg[j] -= 1
+            frozen[j] = False
+
+    if n1 >= 1 and n2 >= 1:
+        yield from row(0, 0, heads[0])
+
+
 def tau_value_hausdorff(t1, t2) -> float:
     """Hausdorff distance between the two sets of time values on the line."""
     a = [float(v) for v in t1.tau]

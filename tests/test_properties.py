@@ -12,9 +12,12 @@ scores them.  The prefix bounds the scan prunes on, with a required pair set
 held before the path, never decrease as pairs are added, equal the cost of
 the candidate once the path is a whole minimal cover of the rest, and come
 back when a pair is undone; the rho bounds built a row of children at a
-time equal the one-pair fold, in the walk's order.  Local search returns
-what the set-based descent returns, neighbour tables and tie breaks
-included, with the add moves it no longer builds counted apart.  The table
+time equal the one-pair fold, in the walk's order.  The one-loop enumerator
+yields the recursive one's stream (kept in conftest as the reference) and
+asks, refuses and retracts in its order, less the last-row ids that cannot
+end in a leaf.  Local search returns what the set-based descent returns,
+neighbour tables and tie breaks included, with the add moves it no longer
+builds counted apart.  The table
 validators return what the plain pair and triple loops return, on tables
 with ties, asymmetric, negative and non-finite entries.
 """
@@ -37,7 +40,7 @@ from tml.errors import (
     TriangleViolation,
 )
 
-from conftest import DRIVERS, family_stream, in_family
+from conftest import DRIVERS, family_stream, in_family, recursive_id_tuples
 
 K = tml.DistanceKind
 
@@ -466,6 +469,121 @@ def test_rho_prefix_bounds_equal_the_one_pair_fold(kind, n1, n2, seed, graphs, r
     for _ in engine._minimal_id_tuples(n1, n2, admit, retract):
         pass
     assert len(tables) == 1 and asked
+
+
+@st.composite
+def enumerator_configs(draw):
+    """A shape with n1 * n2 <= 30, covered rows and columns, ids refused
+    wherever they are asked for, and (id, next id) pairs refused when the
+    next id is asked for right after the first was admitted."""
+    # Every such shape has a side of at most 5 points.
+    short = draw(st.integers(1, 5))
+    n1, n2 = short, draw(st.integers(1, 30 // short))
+    if draw(st.booleans()):
+        n1, n2 = n2, n1
+    covered = (sorted(draw(st.sets(st.integers(0, n1 - 1)))),
+               sorted(draw(st.sets(st.integers(0, n2 - 1)))))
+    ids = st.integers(0, n1 * n2 - 1)
+    refused = draw(st.frozensets(ids, max_size=4))
+    after = draw(st.frozensets(st.tuples(ids, ids), max_size=12))
+    return n1, n2, covered, refused, after
+
+
+def enumerator_events(enumerate_, n1, n2, covered, refused, after):
+    """Run an enumerator with hooks that refuse by `refused` and `after`, and
+    list what happens: ("ask", held ids, id, admitted), ("retract",) and
+    ("yield", ids).  The held ids are the yielded tuple at every yield."""
+    held, events = [], []
+
+    def admit(p):
+        admitted = p not in refused and not (held and (held[-1], p) in after)
+        events.append(("ask", tuple(held), p, admitted))
+        if admitted:
+            held.append(p)
+        return admitted
+
+    def retract():
+        events.append(("retract",))
+        held.pop()
+
+    for ids in enumerate_(n1, n2, admit, retract, covered):
+        assert tuple(held) == ids
+        events.append(("yield", ids))
+    assert not held
+    return events
+
+
+def dead_ends_dropped(events, n1, n2, stream):
+    """The events without the asks of last-row ids that no tuple of the
+    stream extends, each with the retract that backs out of it if it was
+    admitted."""
+    first_last = (n1 - 1) * n2
+    last_rows = {}  # the last-row ids of the stream's tuples, by the ids above
+    for t in stream:
+        k = sum(p < first_last for p in t)
+        last_rows.setdefault(t[:k], []).append(t[k:])
+    kept, open_asks = [], []
+    for event in events:
+        if event[0] == "ask":
+            _, held, p, admitted = event
+            k = sum(q < first_last for q in held)
+            taken = held[k:] + (p,)
+            dead = p >= first_last and not any(
+                t[:len(taken)] == taken for t in last_rows.get(held[:k], ()))
+            if admitted:
+                open_asks.append(dead)
+            if dead:
+                continue
+        elif event[0] == "retract" and open_asks.pop():
+            continue
+        kept.append(event)
+    return kept
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(config=enumerator_configs())
+@example(config=(2, 2, ([], []), frozenset(), frozenset()))
+@example(config=(3, 3, ([1], [0]), frozenset({4}), frozenset({(0, 4)})))
+def test_one_loop_enumerator_equals_the_recursive_one(config):
+    # The one-loop enumerator yields the recursive one's stream, with and
+    # without refusals, and makes its asks and retracts in the same order,
+    # except that it never asks for a last-row id no leaf extends: the
+    # recursive one asks for those and backs out.  Every last-row id it
+    # admits is followed, before its retract, by a yield or a refusal.
+    n1, n2, covered, refused, after = config
+    stream = list(recursive_id_tuples(n1, n2, covered=covered))
+    assert list(tml.engine._minimal_id_tuples(n1, n2, covered=covered)) == stream
+    old = enumerator_events(recursive_id_tuples, *config)
+    new = enumerator_events(tml.engine._minimal_id_tuples, *config)
+    assert new == dead_ends_dropped(old, n1, n2, stream)
+    if config[3:] == (frozenset(), frozenset()):
+        assert [e[1] for e in new if e[0] == "yield"] == stream
+    # For each admitted id held: whether it is a last-row id, and whether a
+    # yield or a refusal has followed it yet.
+    open_asks = []
+    for event in new:
+        if event[0] == "ask" and event[3]:
+            open_asks.append([event[2] >= (n1 - 1) * n2, False])
+        elif event[0] == "retract":
+            last_row, followed = open_asks.pop()
+            assert followed or not last_row, (config, event)
+        else:  # a yield or a refused ask
+            for entry in open_asks:
+                entry[1] = True
+    assert not open_asks
+
+
+def test_the_recursive_enumerator_asks_for_dead_ends():
+    # On 2 x 2 the recursive enumerator asks for pair (1, 0) after row 0
+    # took column 0 alone, though column 1 is still uncovered; the one-loop
+    # enumerator asks only for (1, 1) there.
+    def asks(enumerate_):
+        return [e[1:3] for e in enumerator_events(enumerate_, 2, 2, ([], []), frozenset(), frozenset())
+                if e[0] == "ask"]
+
+    assert asks(recursive_id_tuples) == [((), 0), ((0,), 1), ((0,), 2), ((0,), 3),
+                                         ((), 1), ((1,), 2)]
+    assert asks(tml.engine._minimal_id_tuples) == [((), 0), ((0,), 1), ((0,), 3), ((), 1), ((1,), 2)]
 
 
 # ---------------------------------------------------------------------------
