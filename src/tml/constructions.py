@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import Enumeration
-from .engine import Correspondence, _check_sizes, glued_cross_distances
+from .engine import Correspondence, glued_cross_distances
 from .errors import DeltaTooSmall, EmptySet, InvalidSpec, ValidationError
 from .spaces import (
     DEFAULT_TOL,
@@ -52,7 +52,6 @@ def glue_by_correspondence(
     above the distinctness tolerance).  The result is fully revalidated; too
     small a delta raises DeltaTooSmall carrying the violated constraints.
     """
-    _check_sizes(corr, x1, x2)
     n1, n2 = x1.n, x2.n
     cross = glued_cross_distances(x1, x2, corr, delta)
     table = np.zeros((n1 + n2, n1 + n2))

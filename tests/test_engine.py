@@ -227,22 +227,20 @@ def test_make_correspondence_and_transpose():
             tml.make_correspondence(2, 2, [pair, (1, 1), (0, 1)])
 
 
-@pytest.mark.parametrize("call", ["minimal_correspondences", "correspondence_count",
-                                  "make_correspondence"])
+@pytest.mark.parametrize("call", [
+    tml.minimal_correspondences,
+    tml.correspondence_count,
+    lambda n1, n2: tml.make_correspondence(n1, n2, [(0, 0), (1, 1)]),
+], ids=["minimal_correspondences", "correspondence_count", "make_correspondence"])
 @pytest.mark.parametrize("n1, n2, bad", [(True, 2, "n1"), (2.5, 2, "n1"), (2, 2.0, "n2"),
                                          (-1, 2, "n1"), (2, -1, "n2"), ("2", 2, "n1"),
                                          (None, 2, "n1"), (2, False, "n2")])
 def test_point_counts_are_checked(call, n1, n2, bad):
     # Each point count is an integer >= 0: no bool, float, string or
     # negative count reaches the stream, the count or the record.
-    run = {
-        "minimal_correspondences": lambda: tml.minimal_correspondences(n1, n2),
-        "correspondence_count": lambda: tml.correspondence_count(n1, n2),
-        "make_correspondence": lambda: tml.make_correspondence(n1, n2, [(0, 0), (1, 1)]),
-    }[call]
     value = repr(n1 if bad == "n1" else n2)
     with pytest.raises(ValueError, match=rf"^{bad} must be an integer >= 0, got {re.escape(value)}$"):
-        run()
+        call(n1, n2)
 
 
 def test_empty_point_sets_are_still_counted():
@@ -261,17 +259,16 @@ def test_costs_refuse_a_correspondence_of_other_sizes(path3):
     identity3 = tml.make_correspondence(3, 3, [(i, i) for i in range(3)])
     identity4 = tml.make_correspondence(4, 4, [(i, i) for i in range(4)])
     wide = tml.make_correspondence(3, 4, [(0, 0), (1, 1), (2, 2), (2, 3)])
-    calls = {
-        "distortion": lambda c, a, b: tml.distortion(c, a.base, b.base),
-        "correspondence_hausdorff": lambda c, a, b: tml.correspondence_hausdorff(c, a.base, b.base),
-        "timed_correspondence_hausdorff": tml.timed_correspondence_hausdorff,
-        "pointed_glued_objective":
-            lambda c, a, b: tml.engine.pointed_glued_objective(c, a.base, 0, b.base, 0),
-        "fd_glued_objective": lambda c, a, b: tml.engine.fd_glued_objective(c, a, b, [0], [0]),
-        "glued_cross_distances": lambda c, a, b: tml.glued_cross_distances(a.base, b.base, c, 5.0),
-        "glue_by_correspondence": lambda c, a, b: tml.glue_by_correspondence(a.base, b.base, c, 5.0),
-    }
-    for name, call in calls.items():
+    calls = (
+        lambda c, a, b: tml.distortion(c, a.base, b.base),
+        lambda c, a, b: tml.correspondence_hausdorff(c, a.base, b.base),
+        tml.timed_correspondence_hausdorff,
+        lambda c, a, b: tml.engine.pointed_glued_objective(c, a.base, 0, b.base, 0),
+        lambda c, a, b: tml.engine.fd_glued_objective(c, a, b, [0], [0]),
+        lambda c, a, b: tml.glued_cross_distances(a.base, b.base, c, 5.0),
+        lambda c, a, b: tml.glue_by_correspondence(a.base, b.base, c, 5.0),
+    )
+    for call in calls:
         for corr, a, b in ((identity3, t4, t4), (identity4, t3, t4), (wide, t3, t3), (wide, t4, t3)):
             sizes = rf"{corr.n1} x {corr.n2} points, not {a.n} x {b.n}"
             with pytest.raises(ValueError, match=rf"^the correspondence relates {sizes}$"):
