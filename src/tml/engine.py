@@ -64,12 +64,13 @@ profile-gap family (kappa-gh, tau-h) reads the table's Hausdorff value; the
 distortion family (gh, pt-gh, bb-gh, fd-hh) reads its max at the relation's
 own ids, times the kind's scale.
 
-A scan cut by its budget scores candidates in blocks, one numpy call chain
-per block.  A block is a table of pair ids, one row per candidate's id tuple;
-rows shorter than the longest repeat their first id.  A repeated id changes
-neither the table nor its max at the row's ids, so padding needs no sentinel
-and no mask.  Within a block the least value goes to its first row, as in a
-one-at-a-time scan.
+A scan cut by its budget, or complete within one block, scores candidates in
+blocks, one numpy call chain per block.  A block is a table of pair ids, one
+row per candidate's id tuple; rows shorter than the longest repeat their
+first id.  A repeated id changes neither the table nor its max at the row's
+ids, so padding needs no sentinel and no mask, and a row less its repeats is
+its candidate.  Within a block the least value goes to its first row, as in
+a one-at-a-time scan.
 
 Local search holds its relation as a sorted array of pair ids and builds each
 step's whole neighbourhood (every drop and one-endpoint swap that keeps both
@@ -89,17 +90,22 @@ The certificate is the first candidate of least cost in that stream: for gh,
 kappa-gh and tau-h the lexicographically smallest optimum.  The stream
 length is counted without enumerating (``_covers`` times the number of
 sets); the scan is complete exactly when it fits the budget, and
-``explored`` is the smaller of the two.  Completeness alone picks the walk.
-A cut scan scores the stream's first ``budget`` candidates in blocks of
-``BLOCK``.  A complete scan walks the cover tree once per required set: the
-prefix first holds the set's pairs, then the enumerator refuses a prefix
-whose bound, at most the cost of every candidate below it, is not below the
-best candidate held; every candidate below comes later in the stream, so an
-equal one cannot win.  The bound never decreases as pairs are added: the
-scaled distortion of the prefix, or the Hausdorff value of its rho table,
-which bounds a node's children a row at once.  A leaf's prefix holds every
-pair of its candidate, so the bound of its last pair is its cost.  Pruning
-changes no value, certificate or ``explored`` count.
+``explored`` is the smaller of the two.  Completeness and length pick the
+path.  A cut scan scores the stream's first ``budget`` candidates in blocks
+of ``BLOCK``.  A complete stream of at most ``BLOCK`` candidates is scored
+as one block, read from a table cached per shape and zero sets
+(``_stream_table``): the stream depends on nothing else, and a campaign's
+many small scans share few keys (1,700 scans, 140 keys in a 100-trial
+campaign of every suite).  A longer complete scan walks the cover tree once
+per required set: the prefix first holds the set's pairs, then the
+enumerator refuses a prefix whose bound, at most the cost of every candidate
+below it, is not below the best candidate held; every candidate below comes
+later in the stream, so an equal one cannot win.  The bound never decreases
+as pairs are added: the scaled distortion of the prefix, or the Hausdorff
+value of its rho table, which bounds a node's children a row at once.  A
+leaf's prefix holds every pair of its candidate, so the bound of its last
+pair is its cost.  Pruning changes no value, certificate or ``explored``
+count.
 """
 
 from __future__ import annotations
@@ -134,8 +140,10 @@ from .spaces import (
 )
 
 DEFAULT_BUDGET = 5_000_000
-# Candidates a cut scan scores per numpy call.  A few hundred amortise the
-# per-call cost; larger blocks only add memory.
+# Candidates a cut scan scores per numpy call, and the longest complete stream
+# scored as one block rather than walked.  A few hundred amortise the per-call
+# cost; larger blocks only add memory, and at 5 x 5 (2,945 candidates) one
+# cached block takes 1.4-2.8 times as long as the pruned walk.
 BLOCK = 512
 
 
@@ -467,6 +475,33 @@ def _padded(block) -> np.ndarray:
     return flat.reshape(len(block), width)
 
 
+def _required(n2: int, zeros) -> tuple[tuple[int, ...], ...]:
+    """The minimal correspondences between the zero sets as sorted id
+    tuples, or the empty tuple alone when there are no zero sets."""
+    # Id q between the zero sets is the pair of z1 x z2 at index q.
+    zero_ids = [p * n2 + q for p in zeros[0] for q in zeros[1]]
+    return tuple(tuple(map(zero_ids.__getitem__, zp))
+                 for zp in _minimal_id_tuples(*map(len, zeros))) or ((),)
+
+
+def _stream(n1: int, n2: int, zeros, required):
+    """The set-major candidate stream: for each required set in turn, that
+    set's ids followed by each minimal cover of the rest."""
+    return chain.from_iterable(
+        (extra + ids for ids in _minimal_id_tuples(n1, n2, covered=zeros)) for extra in required
+    )
+
+
+@lru_cache(maxsize=256)
+def _stream_table(n1: int, n2: int, zeros: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The whole candidate stream of n1 x n2 points with these zero sets as
+    one read-only padded id table (see ``_padded``).  The stream depends on
+    nothing else, so one table serves every scan of its shape and zero sets."""
+    table = _padded(list(_stream(n1, n2, zeros, _required(n2, zeros))))
+    table.flags.writeable = False
+    return table
+
+
 def _base_of(space) -> FiniteMetricSpace:
     return space.base if isinstance(space, TimedMetricSpace) else space
 
@@ -491,8 +526,8 @@ class _Objective:
     or the Hausdorff value of the profile-gap table rho (kappa-gh, and tau-h
     with the time gap joined in).
 
-    `costs` maps a block (a list) of sorted id tuples to the array of their
-    per-correspondence costs.  `move_costs(cur, slot, new)` scores one
+    `costs` maps a block (a list of sorted id tuples, or their padded table)
+    to the array of their per-correspondence costs.  `move_costs(cur, slot, new)` scores one
     local-search step: neighbour m is the relation `cur` (sorted pair ids)
     with the id at slot[m] taken out and new[m] put in, as `_neighbours`
     builds them.  Both read one relation table per candidate (see the module
@@ -563,10 +598,6 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     elif kind not in (DistanceKind.GH, DistanceKind.KAPPA_GH, DistanceKind.TAU_H):
         raise ValueError(f"unknown distance kind {kind!r}")
     n2 = x2.n
-    # Id q between the zero sets is the pair of z1 x z2 at index q.
-    zero_ids = [p * n2 + q for p in zeros[0] for q in zeros[1]]
-    required = tuple(tuple(map(zero_ids.__getitem__, zp))
-                     for zp in _minimal_id_tuples(*map(len, zeros))) or ((),)
     rows, cols = np.repeat(np.arange(x1.n), n2), np.tile(np.arange(n2), x1.n)
     # C[id, a', b'] is also the distortion of the pairs id and a' * n2 + b'.
     # The distortion family scales it: gh is half the distortion, and each
@@ -579,7 +610,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     scale = 0.5 if kind is DistanceKind.GH else 1.0
 
     def costs(block):
-        ids = _padded(block)
+        ids = block if isinstance(block, np.ndarray) else _padded(block)
         table = np.maximum(rho, C[ids[:, 0]])
         for j in range(1, ids.shape[1]):
             np.maximum(table, C[ids[:, j]], out=table)
@@ -655,7 +686,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         move_costs=move_costs,
         prefix=prefix,
         zeros=zeros,
-        required=required,
+        required=_required(n2, zeros),
         floor=simple_lower_bounds(kind, a, b),
         anchor=anchor,
     )
@@ -666,18 +697,17 @@ def _scan(obj: _Objective, total: int, budget: int):
     stream of `total`, and the first candidate in the stream attaining it.
 
     A cut stream is scored in blocks of BLOCK, each keeping its first least
-    value.  A stream that fits the budget is walked once per required set,
-    held first; a prefix is refused when its bound is not below the best
-    held, and a leaf is scored by its last pair's (the set's if no cover).
+    value.  A stream that fits the budget and one block is scored at once
+    from its cached table (``_stream_table``); the first least row, less its
+    padding, is the candidate.  A longer stream that fits the budget is
+    walked once per required set, held first; a prefix is refused when its
+    bound is not below the best held, and a leaf is scored by its last
+    pair's (the set's if no cover).
     """
     best, best_ids = math.inf, None
     n1, n2, zeros = obj.n1, obj.n2, obj.zeros
     if total > budget:
-        stream = chain.from_iterable(
-            (extra + ids for ids in _minimal_id_tuples(n1, n2, covered=zeros))
-            for extra in obj.required
-        )
-        stream = islice(stream, budget)
+        stream = islice(_stream(n1, n2, zeros, obj.required), budget)
         blocks = iter(lambda: list(islice(stream, BLOCK)), [])
 
         def first_least(block):
@@ -686,6 +716,12 @@ def _scan(obj: _Objective, total: int, budget: int):
             return values[i], block[i]
 
         found = map(first_least, blocks)
+    elif total <= BLOCK:
+        table = _stream_table(n1, n2, tuple(map(tuple, zeros)))
+        values = obj.costs(table)
+        i = values.argmin()
+        # A candidate's ids are distinct, so dropping repeats drops the padding.
+        return values[i], tuple(dict.fromkeys(table[i].tolist()))
     else:
         extend, undo = obj.prefix()
         last = math.inf  # the bound of the id admitted last

@@ -356,7 +356,13 @@ def _sample_enumeration_costs(rng, d1, d2, tau1, tau2, count):
     e1[:, n1:] = rng.integers(0, n1, size=(count, n2))
     e2[:, :n1] = rng.integers(0, n2, size=(count, n1))
     e2[:, n1:] = rng.permuted(np.tile(np.arange(n2), (count, 1)), axis=1)
-    rho = np.abs(d1[e1][:, :, :, None] - d2[e2][:, :, None, :]).max(axis=1)
+    # gaps[a * n2 + b] is the table |d1[a, x] - d2[b, y]| of the pair (a, b);
+    # a sample's rho is the max of its pairs' tables, folded column by column.
+    gaps = np.abs(d1[:, None, :, None] - d2[None, :, None, :]).reshape(n1 * n2, n1, n2)
+    ids = e1 * n2 + e2
+    rho = gaps[ids[:, 0]]
+    for k in range(1, m):
+        np.maximum(rho, gaps[ids[:, k]], out=rho)
     if tau1 is not None:
         rho = np.maximum(rho, np.abs(tau1[:, None] - tau2[None, :])[None, :, :])
     return np.maximum(rho.min(axis=2).max(axis=1), rho.min(axis=1).max(axis=1))

@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 import tml
@@ -65,6 +66,39 @@ def test_certificates_suite_rows():
         "kappa-samples-no-better",
         "tau-samples-no-better",
     }
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 4), (3, 2), (4, 4)])
+def test_sampled_costs_equal_the_plain_costs(n1, n2):
+    # Each sample pairs a shuffled listing of one side with uniform picks
+    # from the other.  Redraw them from the same seed in the same order and
+    # score each sample's relation with the plain per-correspondence costs.
+    engine = tml.engine
+    x1 = tml.random_metric_space(n1, n1, model="graph")
+    x2 = tml.random_metric_space(n2 + 10, n2)
+    t1 = tml.random_time_function(1, x1, model="mcshane")
+    t2 = tml.random_time_function(2, x2, model="cone")
+    count = 60
+    for timed in (False, True):
+        taus = (t1.tau, t2.tau) if timed else (None, None)
+        got = tml.harness._sample_enumeration_costs(
+            np.random.default_rng(7), x1.d, x2.d, *taus, count
+        )
+        rng = np.random.default_rng(7)
+        listing1 = rng.permuted(np.tile(np.arange(n1), (count, 1)), axis=1)
+        picks1 = rng.integers(0, n1, size=(count, n2))
+        picks2 = rng.integers(0, n2, size=(count, n1))
+        listing2 = rng.permuted(np.tile(np.arange(n2), (count, 1)), axis=1)
+        e1 = np.concatenate((listing1, picks1), axis=1)
+        e2 = np.concatenate((picks2, listing2), axis=1)
+        plain = []
+        for s in range(count):
+            corr = tml.make_correspondence(n1, n2, zip(e1[s].tolist(), e2[s].tolist()))
+            if timed:
+                plain.append(engine.timed_correspondence_hausdorff(corr, t1, t2))
+            else:
+                plain.append(engine.correspondence_hausdorff(corr, x1, x2))
+        assert got.tolist() == plain
 
 
 def test_all_suite_concatenates():

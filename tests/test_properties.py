@@ -5,8 +5,9 @@ swapping the arguments and relabelling the points leave ``upper`` unchanged
 bit for bit, a space is at distance zero from itself, and the certificate
 re-evaluates to ``upper``.  The engine's batched cost of a block of relations
 equals the plain per-correspondence function of each relation.  A complete
-scan (the pruned scan) returns what a plain loop over the stream returns,
-and reaches fewer leaves than the stream holds even within one block; the
+scan returns what a plain loop over the stream returns: a stream of one
+block in one batched call from a table cached by shape and zero sets, a
+longer one by a walk that reaches fewer leaves than the stream holds; the
 glued objectives equal the distortion bit for bit, which is how the engine
 scores them.  The prefix bounds the scan prunes on, with a required pair set
 held before the path, never decrease as pairs are added, equal the cost of
@@ -282,43 +283,75 @@ def test_complete_scan_equals_the_plain_loop(kind, shape, seed, graphs, zeros):
         assert got.zero_pairs is None
 
 
-def test_complete_one_block_scan_is_pruned(monkeypatch):
+def test_complete_scan_scores_one_block_at_once_and_walks_longer_streams(monkeypatch):
     # 184 minimal correspondences at 4 x 4 for gh; for fd-hh, each of the
     # two minimal correspondences between its two-point zero sets followed
-    # by each of the 42 minimal covers of the other four points: 184 or 84
-    # candidates, well within one block.  The search still refuses most of
-    # them before they reach a leaf, and scores each leaf it reaches by its
-    # bound, never by the batched cost, whatever the number of required sets.
+    # by each of the 42 minimal covers of the other four points.  Each
+    # stream fits one block, so its scan scores the whole stream in one
+    # costs call and walks no leaf.  The 680 minimal correspondences at
+    # 4 x 5 do not: that scan walks, refuses most of them before they reach
+    # a leaf and never calls costs.
     engine = tml.engine
+    engine._stream_table.cache_clear()
     x1 = tml.random_metric_space(7, 4)
     x2 = tml.random_metric_space(8, 4, model="graph")
     a = tml.random_time_function(7, x1, model="set-cone", subset_size=2)
     b = tml.random_time_function(8, x2, model="set-cone", subset_size=2)
+    c = tml.random_time_function(9, tml.random_metric_space(9, 5, model="graph"))
     walk = engine._minimal_id_tuples
-    for kind in (K.GH, K.FD_HH):
-        x, y = (a, b) if kind is K.FD_HH else (x1, x2)
+    cases = ((K.GH, a, b, (1, 184)), (K.FD_HH, a, b, (2, 2 * 42)), (K.GH, a, c, (1, 680)))
+    for kind, x, y, sizes in cases:
         obj = engine._objective(kind, x, y)
         z1, z2 = obj.zeros
-        total = len(obj.required) * engine._covers(4 - len(z1), len(z1), 4 - len(z2), len(z2))
-        assert (len(obj.required), total) == {K.GH: (1, 184), K.FD_HH: (2, 2 * 42)}[kind]
-        assert total < engine.BLOCK
-        leaves = []
+        total = len(obj.required) * engine._covers(x.n - len(z1), len(z1), y.n - len(z2), len(z2))
+        assert (len(obj.required), total) == sizes
+        calls, leaves = [], []
 
-        def counted(*args, **kwargs):
-            for ids in walk(*args, **kwargs):
-                leaves.append(ids)
+        def counted(n1, n2, admit=None, retract=None, covered=((), ())):
+            # Only the walk passes a prune hook; a stream table's build does not.
+            for ids in walk(n1, n2, admit, retract, covered):
+                if admit is not None:
+                    leaves.append(ids)
                 yield ids
 
         def costs(block):
-            raise AssertionError(f"a complete {kind.value} scan scored a block")
+            calls.append(len(block))
+            return obj.costs(block)
 
         monkeypatch.setattr(engine, "_minimal_id_tuples", counted)
         value, ids = engine._scan(dataclasses.replace(obj, costs=costs), total, tml.DEFAULT_BUDGET)
         monkeypatch.undo()
-        assert 0 < len(leaves) < total
-        best, best_pairs, explored, _ = plain_scan(kind, a, b, None)
-        assert (value, tuple(sorted(ids))) == (best, ids_of(best_pairs, 4))
+        if total <= engine.BLOCK:
+            assert (calls, leaves) == ([total], [])
+        else:
+            assert calls == [] and 0 < len(leaves) < total
+        best, best_pairs, explored, _ = plain_scan(kind, x, y, None)
+        assert (value, tuple(sorted(ids))) == (best, ids_of(best_pairs, y.n))
         assert explored == total
+
+
+def test_stream_tables_are_cached_by_shape_and_zero_sets():
+    # One 4 x 4 shape, five streams in one process: pt-gh at two anchors,
+    # bb-gh at a third, fd-hh with two pairs of zero sets.  A table cached
+    # by shape alone would score one of them on another's stream.
+    engine = tml.engine
+    engine._stream_table.cache_clear()
+    x1 = tml.random_metric_space(21, 4, model="graph")
+    x2 = tml.random_metric_space(22, 4, model="graph")
+    bb1, bb2 = tml.make_future_developed(x1, [1]), tml.make_future_developed(x2, [2])
+    fd = [(tml.make_future_developed(x1, z1), tml.make_future_developed(x2, z2))
+          for z1, z2 in (([0, 1], [2, 3]), ([1, 3], [0]))]
+    cases = [(K.PT_GH, bb1, bb2, (0, 3)), (K.PT_GH, bb1, bb2, (2, 1)), (K.BB_GH, bb1, bb2, (1, 2)),
+             (K.FD_HH, *fd[0], None), (K.FD_HH, *fd[1], None)]
+    for kind, a, b, anchor in cases:
+        got = call(kind, a, b, anchor)
+        best, best_pairs, explored, _ = plain_scan(kind, a, b, anchor)
+        assert explored <= engine.BLOCK
+        assert (got.upper, got.certificate.pairs, got.explored) == (best, best_pairs, explored)
+    assert engine._stream_table.cache_info().currsize == len(cases)
+    table = engine._stream_table(4, 4, ((), ()))
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
