@@ -65,12 +65,12 @@ distortion family (gh, pt-gh, bb-gh, fd-hh) reads its max at the relation's
 own ids, times the kind's scale.
 
 A scan cut by its budget, or complete within one block, scores candidates in
-blocks, one numpy call chain per block.  A block is a table of pair ids, one
-row per candidate's id tuple; rows shorter than the longest repeat their
-first id.  A repeated id changes neither the table nor its max at the row's
-ids, so padding needs no sentinel and no mask, and a row less its repeats is
-its candidate.  Within a block the least value goes to its first row, as in
-a one-at-a-time scan.
+blocks, one numpy call chain per block; its first block is the stream's
+cached head.  A block is a table of pair ids, one row per candidate's id
+tuple; rows shorter than the longest repeat their first id.  A repeated id
+changes neither the table nor its max at the row's ids, so padding needs no
+sentinel and no mask, and a row less its repeats is its candidate.  Within a
+block the least value goes to its first row, as in a one-at-a-time scan.
 
 Local search holds its relation as a sorted array of pair ids and builds each
 step's whole neighbourhood (every drop and one-endpoint swap that keeps both
@@ -90,22 +90,23 @@ The certificate is the first candidate of least cost in that stream: for gh,
 kappa-gh and tau-h the lexicographically smallest optimum.  The stream
 length is counted without enumerating (``_covers`` times the number of
 sets); the scan is complete exactly when it fits the budget, and
-``explored`` is the smaller of the two.  Completeness and length pick the
-path.  A cut scan scores the stream's first ``budget`` candidates in blocks
-of ``BLOCK``.  A complete stream of at most ``BLOCK`` candidates is scored
-as one block, read from a table cached per shape and zero sets
-(``_stream_table``): the stream depends on nothing else, and a campaign's
-many small scans share few keys (1,700 scans, 140 keys in a 100-trial
-campaign of every suite).  A longer complete scan walks the cover tree once
-per required set: the prefix first holds the set's pairs, then the
-enumerator refuses a prefix whose bound, at most the cost of every candidate
-below it, is not below the best candidate held; every candidate below comes
-later in the stream, so an equal one cannot win.  The bound never decreases
-as pairs are added: the scaled distortion of the prefix, or the Hausdorff
-value of its rho table, which bounds a node's children a row at once.  A
-leaf's prefix holds every pair of its candidate, so the bound of its last
-pair is its cost.  Pruning changes no value, certificate or ``explored``
-count.
+``explored`` is the smaller of the two.  Completeness and length pick one
+of two paths.  A cut scan, or a complete one of at most ``BLOCK``
+candidates, scores the stream's first ``min(total, budget)`` candidates in
+blocks.  The first ``BLOCK`` come from a table cached per shape and zero
+sets (``_stream_table``): the stream depends on nothing else, and the many
+scans of a campaign or a budget-cut round share few keys (1,700 scans, 140
+keys in a 100-trial campaign of every suite).  Only a cut past ``BLOCK``
+generates the rest, a block of ``BLOCK`` at a time.  A longer complete scan
+walks the cover tree once per required set: the prefix first holds the
+set's pairs, then the enumerator refuses a prefix whose bound, at most the
+cost of every candidate below it, is not below the best candidate held;
+every candidate below comes later in the stream, so an equal one cannot
+win.  The bound never decreases as pairs are added: the scaled distortion of
+the prefix, or the Hausdorff value of its rho table, which bounds a node's
+children a row at once.  A leaf's prefix holds every pair of its candidate,
+so the bound of its last pair is its cost.  Pruning changes no value,
+certificate or ``explored`` count.
 """
 
 from __future__ import annotations
@@ -140,10 +141,11 @@ from .spaces import (
 )
 
 DEFAULT_BUDGET = 5_000_000
-# Candidates a cut scan scores per numpy call, and the longest complete stream
-# scored as one block rather than walked.  A few hundred amortise the per-call
-# cost; larger blocks only add memory, and at 5 x 5 (2,945 candidates) one
-# cached block takes 1.4-2.8 times as long as the pruned walk.
+# Candidates scored per numpy call, the length of a stream's cached head, and
+# the longest complete stream scored as blocks rather than walked.  A few
+# hundred amortise the per-call cost; larger blocks only add memory, and at
+# 5 x 5 (2,945 candidates) one block takes 1.4-2.8 times as long as the
+# pruned walk.
 BLOCK = 512
 
 
@@ -494,10 +496,11 @@ def _stream(n1: int, n2: int, zeros, required):
 
 @lru_cache(maxsize=256)
 def _stream_table(n1: int, n2: int, zeros: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """The whole candidate stream of n1 x n2 points with these zero sets as
-    one read-only padded id table (see ``_padded``).  The stream depends on
-    nothing else, so one table serves every scan of its shape and zero sets."""
-    table = _padded(list(_stream(n1, n2, zeros, _required(n2, zeros))))
+    """The first BLOCK candidates of the stream of n1 x n2 points with these
+    zero sets as one read-only padded id table (see ``_padded``).  The stream
+    depends on nothing else, so one table serves every scan of its shape and
+    zero sets."""
+    table = _padded(list(islice(_stream(n1, n2, zeros, _required(n2, zeros)), BLOCK)))
     table.flags.writeable = False
     return table
 
@@ -526,11 +529,11 @@ class _Objective:
     or the Hausdorff value of the profile-gap table rho (kappa-gh, and tau-h
     with the time gap joined in).
 
-    `costs` maps a block (a list of sorted id tuples, or their padded table)
-    to the array of their per-correspondence costs.  `move_costs(cur, slot, new)` scores one
-    local-search step: neighbour m is the relation `cur` (sorted pair ids)
-    with the id at slot[m] taken out and new[m] put in, as `_neighbours`
-    builds them.  Both read one relation table per candidate (see the module
+    `costs` maps a padded id table (see ``_padded``), one row per candidate,
+    to the array of their per-correspondence costs.  `move_costs(cur, slot,
+    new)` scores one local-search step: neighbour m is the relation `cur`
+    (sorted pair ids) with the id at slot[m] taken out and new[m] put in, as
+    `_neighbours` builds them.  Both read one relation table per candidate (see the module
     docstring).  `prefix()` starts an empty prefix of pairs and returns
     `(extend, undo)`: `extend(p)` adds pair id p and returns a bound at most
     the cost of every candidate that holds the prefix, never less than the
@@ -548,7 +551,7 @@ class _Objective:
     kind: DistanceKind
     n1: int
     n2: int
-    costs: Callable[[list], np.ndarray]
+    costs: Callable[[np.ndarray], np.ndarray]
     move_costs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     prefix: Callable[[], tuple[Callable[[int], float], Callable[[], None]]]
     zeros: tuple[list[int], list[int]]
@@ -609,8 +612,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     rho_family = kind in (DistanceKind.KAPPA_GH, DistanceKind.TAU_H)
     scale = 0.5 if kind is DistanceKind.GH else 1.0
 
-    def costs(block):
-        ids = block if isinstance(block, np.ndarray) else _padded(block)
+    def costs(ids):
         table = np.maximum(rho, C[ids[:, 0]])
         for j in range(1, ids.shape[1]):
             np.maximum(table, C[ids[:, j]], out=table)
@@ -696,32 +698,30 @@ def _scan(obj: _Objective, total: int, budget: int):
     """The least cost among the first `budget` candidates of a set-major
     stream of `total`, and the first candidate in the stream attaining it.
 
-    A cut stream is scored in blocks of BLOCK, each keeping its first least
-    value.  A stream that fits the budget and one block is scored at once
-    from its cached table (``_stream_table``); the first least row, less its
-    padding, is the candidate.  A longer stream that fits the budget is
-    walked once per required set, held first; a prefix is refused when its
-    bound is not below the best held, and a leaf is scored by its last
+    A cut stream, or one of at most BLOCK, is scored in blocks: first the
+    stream's cached head (``_stream_table``) up to the count, then, for a cut
+    past BLOCK, the rest generated in blocks of BLOCK.  Each block keeps its
+    first least row, less its padding.  A longer stream that fits the budget
+    is walked once per required set, held first; a prefix is refused when
+    its bound is not below the best held, and a leaf is scored by its last
     pair's (the set's if no cover).
     """
     best, best_ids = math.inf, None
     n1, n2, zeros = obj.n1, obj.n2, obj.zeros
-    if total > budget:
-        stream = islice(_stream(n1, n2, zeros, obj.required), budget)
-        blocks = iter(lambda: list(islice(stream, BLOCK)), [])
+    if total <= BLOCK or total > budget:
+        count = min(total, budget)
+        blocks = [_stream_table(n1, n2, tuple(map(tuple, zeros)))[:count]]
+        if count > BLOCK:
+            rest = islice(_stream(n1, n2, zeros, obj.required), BLOCK, count)
+            blocks = chain(blocks, map(_padded, iter(lambda: list(islice(rest, BLOCK)), [])))
 
-        def first_least(block):
-            values = obj.costs(block)
+        def first_least(table):
+            values = obj.costs(table)
             i = values.argmin()
-            return values[i], block[i]
+            # A candidate's ids are distinct, so dropping repeats drops the padding.
+            return values[i], tuple(dict.fromkeys(table[i].tolist()))
 
         found = map(first_least, blocks)
-    elif total <= BLOCK:
-        table = _stream_table(n1, n2, tuple(map(tuple, zeros)))
-        values = obj.costs(table)
-        i = values.argmin()
-        # A candidate's ids are distinct, so dropping repeats drops the padding.
-        return values[i], tuple(dict.fromkeys(table[i].tolist()))
     else:
         extend, undo = obj.prefix()
         last = math.inf  # the bound of the id admitted last
@@ -797,10 +797,7 @@ def distance(
     counting evaluations against the budget.  `tol` is the classification
     tolerance of bb-gh and fd-hh, a finite real >= 0 for every kind;
     `basepoints` is the pt-gh basepoint pair."""
-    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
-        raise ValueError(f"budget must be an integer, got {budget!r}")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_count(budget, "budget", 1)
     obj = _objective(kind, a, b, tol, basepoints)
     c1, c2 = (len(z) for z in obj.zeros)
     total = len(obj.required) * _covers(obj.n1 - c1, c1, obj.n2 - c2, c2)
@@ -956,9 +953,8 @@ def local_search_upper(
     `basepoints` is the pt-gh basepoint pair and `tol` the classification
     tolerance of bb-gh and fd-hh.
     """
-    for name, value in (("seed", seed), ("iterations", iterations)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    _check_count(seed, "seed", 0)
+    _check_count(iterations, "iterations", 0)
     obj = _objective(kind, a, b, tol, basepoints)
     n1, n2 = obj.n1, obj.n2
     z1, z2 = obj.zeros
@@ -983,9 +979,9 @@ def local_search_upper(
         starts.append(start(rows | {(int(rng.integers(n1)), j) for j in range(n2)}))
     for current in starts:
         key = tuple(sorted(p * n2 + q for p, q in current))
-        value = obj.costs([key])[0]
-        explored += 1
         cur = np.array(key, dtype=np.intp)
+        value = obj.costs(cur[None])[0]
+        explored += 1
         for _ in range(iterations):
             slot, new = _neighbours(cur, n1, n2, in_z1, in_z2)
             if not len(slot):

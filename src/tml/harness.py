@@ -49,6 +49,7 @@ from .spaces import (
     SpaceClass,
     TimedMetricSpace,
     _check_count,
+    _maxmin,
     build_metric_space,
     build_timed_space,
     classify,
@@ -365,7 +366,7 @@ def _sample_enumeration_costs(rng, d1, d2, tau1, tau2, count):
         np.maximum(rho, gaps[ids[:, k]], out=rho)
     if tau1 is not None:
         rho = np.maximum(rho, np.abs(tau1[:, None] - tau2[None, :])[None, :, :])
-    return np.maximum(rho.min(axis=2).max(axis=1), rho.min(axis=1).max(axis=1))
+    return _maxmin(rho)
 
 
 def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:

@@ -706,7 +706,7 @@ def test_local_search_rejects_bad_counts(name, value, path3):
     # Refused by name before any search runs, fractional values and bools
     # included.
     args = {"seed": 0, name: value}
-    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {value}$"):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got {value}$"):
         tml.local_search_upper(tml.DistanceKind.GH, path3, path3, **args)
 
 
@@ -715,9 +715,9 @@ def test_distance_rejects_a_fractional_budget(n):
     # Refused whether or not the stream fits the budget: 1 x 1 has one
     # candidate, 5 x 5 has 2,945.  A bool is no count either.
     x = tml.random_metric_space(3, n)
-    with pytest.raises(ValueError, match="^budget must be an integer, got 1.5$"):
+    with pytest.raises(ValueError, match="^budget must be an integer >= 1, got 1.5$"):
         tml.distance(tml.DistanceKind.GH, x, x, budget=1.5)
-    with pytest.raises(ValueError, match="^budget must be an integer, got True$"):
+    with pytest.raises(ValueError, match="^budget must be an integer >= 1, got True$"):
         tml.gh_distance(x, x, budget=True)
 
 

@@ -160,7 +160,7 @@ def test_block_costs_equal_the_plain_functions(n1, n2, seed, masks, minimal):
                 pairs.add(obj.anchor)
             pairs = covering(rng, pairs, *obj.zeros)
             block.append(tuple(sorted(pairs)))
-        values = obj.costs([ids_of(pairs, n2) for pairs in block])
+        values = obj.costs(engine._padded([ids_of(pairs, n2) for pairs in block]))
         assert values.shape == (len(block),)
         for pairs, value in zip(block, values):
             assert value == cost(tml.make_correspondence(n1, n2, pairs), obj)
@@ -330,10 +330,13 @@ def test_complete_scan_scores_one_block_at_once_and_walks_longer_streams(monkeyp
         assert explored == total
 
 
-def test_stream_tables_are_cached_by_shape_and_zero_sets():
+def test_stream_tables_are_cached_by_shape_and_zero_sets(monkeypatch):
     # One 4 x 4 shape, five streams in one process: pt-gh at two anchors,
     # bb-gh at a third, fd-hh with two pairs of zero sets.  A table cached
-    # by shape alone would score one of them on another's stream.
+    # by shape alone would score one of them on another's stream.  Then cut
+    # scans of one 8 x 8 pair: every cut of at most BLOCK reads one cached
+    # head and, once it is cached, generates no candidate; a cut at
+    # BLOCK + 1 scores the head and one generated row.
     engine = tml.engine
     engine._stream_table.cache_clear()
     x1 = tml.random_metric_space(21, 4, model="graph")
@@ -349,6 +352,39 @@ def test_stream_tables_are_cached_by_shape_and_zero_sets():
         assert explored <= engine.BLOCK
         assert (got.upper, got.certificate.pairs, got.explored) == (best, best_pairs, explored)
     assert engine._stream_table.cache_info().currsize == len(cases)
+
+    B = engine.BLOCK
+    x1 = tml.random_metric_space(23, 8, model="graph")
+    x2 = tml.random_metric_space(24, 8, model="graph")
+    obj = engine._objective(K.GH, x1, x2)
+    total = engine.correspondence_count(8, 8)
+    stream = [c.pairs for c in tml.minimal_correspondences(8, 8, B + 1)]
+    values = [engine.distortion(tml.make_correspondence(8, 8, p), x1, x2) / 2.0 for p in stream]
+    walk, made, calls = engine._minimal_id_tuples, [], []
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return walk(*args, **kwargs)
+
+    def costs(ids):
+        calls.append(len(ids))
+        return obj.costs(ids)
+
+    def scan(budget):
+        calls.clear()
+        value, ids = engine._scan(dataclasses.replace(obj, costs=costs), total, budget)
+        i = int(np.argmin(values[:budget]))
+        assert (value, tuple(sorted(ids))) == (values[i], ids_of(stream[i], 8))
+        return list(calls)
+
+    monkeypatch.setattr(engine, "_minimal_id_tuples", counted)
+    assert [scan(b) for b in (1, 150, B)] == [[1], [150], [B]]
+    assert engine._stream_table.cache_info().currsize == len(cases) + 1
+    made.clear()
+    assert [scan(b) for b in (1, 150, B)] == [[1], [150], [B]]
+    assert made == []
+    assert scan(B + 1) == [B, 1]
+    monkeypatch.undo()
     table = engine._stream_table(4, 4, ((), ()))
     with pytest.raises(ValueError):
         table[0, 0] = 0
@@ -443,7 +479,7 @@ def test_prefix_bounds_never_decrease_and_never_pass_a_cost(
             extend, undo = obj.prefix()
             bounds = [extend(i) for i in extra + ids]
             assert bounds == sorted(bounds)
-            assert bounds[-1] == obj.costs([extra + ids])[0]
+            assert bounds[-1] == obj.costs(engine._padded([extra + ids]))[0]
             for k in reversed(range(len(ids))):
                 undo()
                 assert extend(ids[k]) == bounds[len(extra) + k]
@@ -682,7 +718,7 @@ def set_local_search(kind, a, b, seed, iterations, basepoints):
         starts.append(start(rows | {(int(rng.integers(n1)), j) for j in range(n2)}))
     for current in starts:
         key = tuple(sorted(current))
-        value = obj.costs([ids_of(key, n2)])[0]
+        value = obj.costs(engine._padded([ids_of(key, n2)]))[0]
         explored += 1
         for _ in range(iterations):
             moves = list(neighbors(current))
@@ -690,7 +726,7 @@ def set_local_search(kind, a, b, seed, iterations, basepoints):
                 break
             block = [tuple(sorted(cand)) for _, cand in moves]
             explored += len(block) - sum(add for add, _ in moves)
-            low, pairs = least(block, obj.costs([ids_of(p, n2) for p in block]))
+            low, pairs = least(block, obj.costs(engine._padded([ids_of(p, n2) for p in block])))
             if low >= value:
                 break
             key, value = pairs, low
