@@ -200,6 +200,8 @@ class SequenceSpec:
 
 
 def _check_spec(spec: SequenceSpec) -> None:
+    if not isinstance(spec.base, TimedMetricSpace):
+        raise InvalidSpec(f"base must be a TimedMetricSpace, got {type(spec.base).__name__}")
     if spec.family not in SEQUENCE_FAMILIES:
         raise InvalidSpec(f"unknown family {spec.family!r}")
     for name, least in (("length", 1), ("seed", 0)):

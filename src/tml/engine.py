@@ -24,8 +24,10 @@ Every stream comes from one loop, ``_minimal_id_tuples``.  It walks the tree
 of row choices on an explicit stack (the columns each row above has taken),
 so each candidate is yielded from one frame, and it reads the last row off
 directly: every column still uncovered as one leaf, or else each unfrozen
-column alone.  No last-row pair that cannot end in a candidate reaches the
-scan's prune hook.
+column alone.  It keeps the ids it holds, a required set first, in one list
+that a scan's one prune hook, ``admit(p, ids)``, reads before id p joins
+it; nothing is ever retracted.  No last-row pair that cannot end in a
+candidate is asked for.
 
 Each glued objective equals the distortion dis(R) of its correspondence R,
 bit for bit (halving and doubling are exact).  With delta = dis(R) / 2, every
@@ -98,22 +100,23 @@ sets (``_stream_table``): the stream depends on nothing else, and the many
 scans of a campaign or a budget-cut round share few keys (1,700 scans, 140
 keys in a 100-trial campaign of every suite).  Only a cut past ``BLOCK``
 generates the rest, a block of ``BLOCK`` at a time.  A longer complete scan
-walks the cover tree once per required set: the prefix first holds the
-set's pairs, then the enumerator refuses a prefix whose bound, at most the
-cost of every candidate below it, is not below the best candidate held;
-every candidate below comes later in the stream, so an equal one cannot
-win.  The bound never decreases as pairs are added: the scaled distortion of
-the prefix, or the Hausdorff value of its rho table, which bounds a node's
-children a row at once.  A leaf's prefix holds every pair of its candidate,
-so the bound of its last pair is its cost.  Pruning changes no value,
-certificate or ``explored`` count.
+walks the cover tree once per required set, which the enumerator holds
+first.  Its hook bounds the ids held plus the one asked for, and refuses
+the subtree below when the bound, at most the cost of every candidate
+below, is not below the best candidate held; every candidate below comes
+later in the stream, so an equal one cannot win.  The bound never
+decreases as pairs are added: the scaled distortion of the ids, or the
+Hausdorff value of their rho table, which bounds a node's children a row at
+once.  A leaf's ids are every pair of its candidate, so the bound of its
+last pair is its cost.  Pruning changes no value, certificate or
+``explored`` count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -211,11 +214,12 @@ def transpose(corr: Correspondence) -> Correspondence:
     return Correspondence(n1=corr.n2, n2=corr.n1, pairs=flipped, minimal=corr.minimal)
 
 
-def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, covered=((), ())):
+def _minimal_id_tuples(n1: int, n2: int, admit=None, covered=((), ()), held=()):
     """Yield every minimal cover of the points outside `covered` (rows,
     columns) with no pair between two covered points exactly once, as the
-    sorted tuple of its pair ids (a * n2 + b for pair (a, b)).  Ids order as
-    pairs do.  With nothing covered these are the minimal correspondences.
+    sorted tuple of its pair ids (a * n2 + b for pair (a, b)) after the ids
+    `held`.  Ids order as pairs do.  With nothing covered or held these are
+    the minimal correspondences.
 
     Every pair needs an uncovered endpoint of degree one: the star shape
     minimality demands.  A row takes one column, or two or more it owns
@@ -236,12 +240,12 @@ def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, covered=((), 
     one leaf; if none is left, an uncovered last row takes each unfrozen
     column singly, a leaf each, and a covered one takes nothing.
 
-    The ids taken so far are kept in the list `prefix`.  A scan prunes
-    through `admit(p)`: called before id p joins the prefix, it may refuse
-    the whole subtree below; `retract()` follows every admitted id when the
-    walk backs out of it.  No last-row id is asked for unless it can end in
-    a leaf, and a nonempty tuple is yielded right after its last id is
-    admitted.
+    The ids held, then those taken, are kept in the list `prefix`.  A scan
+    prunes through one hook, `admit(p, prefix)`: asked before id p joins the
+    prefix, it may refuse the whole subtree below.  It is handed the live
+    list, so it must neither keep nor change it; nothing is retracted.  No
+    last-row id is asked for unless it can end in a leaf, and a tuple past
+    `held` is yielded right after its last id is admitted.
     """
     if n1 < 1 or n2 < 1:
         return
@@ -250,7 +254,7 @@ def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, covered=((), 
     heads = [[n2 + r] if r in covered[0] else [] for r in range(n1)]
     col_deg = [int(c in covered[1]) for c in range(n2)] + [0] * n1
     frozen = [False] * (n2 + n1)
-    prefix = []
+    prefix = list(held)
     last = n1 - 1
     r = c = 0  # the current row and the first column it has left to try
     while True:
@@ -259,7 +263,7 @@ def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, covered=((), 
         if r < last:
             for c in range(c, n2):
                 takeable = col_deg[c] == 0 and col_deg[chosen[0]] == 0 if chosen else not frozen[c]
-                if takeable and (admit is None or admit(base + c)):
+                if takeable and (admit is None or admit(base + c, prefix)):
                     chosen.append(c)
                     prefix.append(base + c)
             if chosen:
@@ -272,22 +276,18 @@ def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, covered=((), 
         else:
             leaf = [base + c for c in range(n2) if col_deg[c] == 0]
             if leaf or chosen:
-                taken = 0
+                k = len(prefix)
                 for p in leaf:
-                    if admit is not None and not admit(p):
+                    if admit is not None and not admit(p, prefix):
                         break
-                    taken += 1
-                if taken == len(leaf):
-                    yield (*prefix, *leaf)
-                if retract is not None:
-                    for _ in range(taken):
-                        retract()
+                    prefix.append(p)
+                else:
+                    yield tuple(prefix)
+                del prefix[k:]
             else:
                 for c in range(n2):
-                    if not frozen[c] and (admit is None or admit(base + c)):
+                    if not frozen[c] and (admit is None or admit(base + c, prefix)):
                         yield (*prefix, base + c)
-                        if retract is not None:
-                            retract()
         # Back out to the nearest row above that took a column; drop its last.
         while True:
             r -= 1
@@ -300,8 +300,6 @@ def _minimal_id_tuples(n1: int, n2: int, admit=None, retract=None, covered=((), 
             if chosen[-1] < n2:
                 c = chosen.pop() + 1
                 prefix.pop()
-                if retract is not None:
-                    retract()
                 break
 
 
@@ -390,7 +388,9 @@ def glued_cross_distances(
     x1: FiniteMetricSpace, x2: FiniteMetricSpace, corr: Correspondence, delta: float
 ) -> np.ndarray:
     """Cross-distance table of the gluing: min over related (a, b) of
-    d1(x, a) + delta + d2(b, y).  A metric whenever delta >= distortion / 2."""
+    d1(x, a) + delta + d2(b, y).  A metric whenever delta >= distortion / 2;
+    a delta that is not a finite real >= 0 raises ValueError."""
+    _check_tol(delta, "delta")
     _check_sizes(corr, x1, x2)
     rows = np.array([a for a, _ in corr.pairs], dtype=int)
     cols = np.array([b for _, b in corr.pairs], dtype=int)
@@ -487,10 +487,11 @@ def _required(n2: int, zeros) -> tuple[tuple[int, ...], ...]:
 
 
 def _stream(n1: int, n2: int, zeros, required):
-    """The set-major candidate stream: for each required set in turn, that
-    set's ids followed by each minimal cover of the rest."""
+    """The set-major candidate stream: for each required set in turn, held
+    by the enumerator, that set's ids followed by each minimal cover of the
+    rest."""
     return chain.from_iterable(
-        (extra + ids for ids in _minimal_id_tuples(n1, n2, covered=zeros)) for extra in required
+        _minimal_id_tuples(n1, n2, covered=zeros, held=extra) for extra in required
     )
 
 
@@ -534,14 +535,18 @@ class _Objective:
     new)` scores one local-search step: neighbour m is the relation `cur`
     (sorted pair ids) with the id at slot[m] taken out and new[m] put in, as
     `_neighbours` builds them.  Both read one relation table per candidate (see the module
-    docstring).  `prefix()` starts an empty prefix of pairs and returns
-    `(extend, undo)`: `extend(p)` adds pair id p and returns a bound at most
-    the cost of every candidate that holds the prefix, never less than the
-    bound before; `undo()` drops the last pair added.  The bound of a prefix
-    that holds every pair of a candidate is that candidate's cost.  The rho
-    prefix builds a node's children in batches: the first `extend(p)` below a
-    prefix bounds ids p to the end of p's row in one numpy call, and later
-    siblings in that range read their table and bound from it.
+    docstring).  `prefix()` returns `extend(p, ids)`, the bound of `ids +
+    [p]`: at most the cost of every candidate that holds it, never less than
+    the bound of `ids`, and a candidate's cost once it holds all its pairs.
+    It reads only the state stored at depth `len(ids)` and writes depth
+    `len(ids) + 1`, so it needs no undo while each call's `ids` is the
+    relation last extended to its depth, as in a walk.  A refused id leaves
+    its state at depth `len(ids) + 1`, safe because nothing deeper is read
+    until an admitted id rewrites it; depth 0, the empty relation, serves
+    every required set.  The rho prefix builds a node's children in
+    batches: the first `extend(p, ids)` below `ids` bounds ids p to the end
+    of p's row in one numpy call, and later siblings in that range read
+    their table and bound from it.
     `zeros` holds the zero sets (for pt-gh and bb-gh the anchor as 1 x 1
     zero sets; none for gh/kappa-gh/tau-h), `required` the minimal
     correspondences between them as sorted id tuples, or the empty tuple
@@ -553,7 +558,7 @@ class _Objective:
     n2: int
     costs: Callable[[np.ndarray], np.ndarray]
     move_costs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    prefix: Callable[[], tuple[Callable[[int], float], Callable[[], None]]]
+    prefix: Callable[[], Callable[[int, Sequence[int]], float]]
     zeros: tuple[list[int], list[int]]
     required: tuple[tuple[int, ...], ...]
     floor: float
@@ -637,48 +642,42 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         np.fill_diagonal(M, 0.0)
         return np.maximum(M.max(axis=1)[slot], flat[slot, new]) * scale
 
+    # A scan holds a required set and then a path outside it, so every pair
+    # id at most once: a prefix is at most len(C) ids deep.
     if rho_family:
 
         def prefix():
-            # tables[k] is the rho table of the first k pairs; kids[k] holds
-            # children of that prefix, built at once for the ids from the
-            # first asked for to the end of its row: (first id, their
+            # tables[k] is the rho table of the prefix's first k ids; kids[k]
+            # holds children of that prefix, built at once for the ids from
+            # the first asked for to the end of its row: (first id, their
             # tables, their bounds).  A walk asks for a prefix's children in
             # increasing order, so one batch serves a row of siblings.
-            tables, kids = [rho], [None]
+            tables, kids = [rho] + [None] * len(C), [None] * (len(C) + 1)
 
-            def extend(p):
-                batch = kids[-1]
+            def extend(p, ids):
+                k = len(ids)
+                batch = kids[k]
                 if batch is None or not batch[0] <= p < batch[0] + len(batch[2]):
-                    stack = np.maximum(tables[-1], C[p : (p // n2 + 1) * n2])
-                    batch = kids[-1] = (p, stack, _maxmin(stack).tolist())
+                    stack = np.maximum(tables[k], C[p : (p // n2 + 1) * n2])
+                    batch = kids[k] = (p, stack, _maxmin(stack).tolist())
                 first, stack, bounds = batch
-                tables.append(stack[p - first])
-                kids.append(None)
+                tables[k + 1], kids[k + 1] = stack[p - first], None
                 return bounds[p - first]
 
-            def undo():
-                tables.pop()
-                kids.pop()
-
-            return extend, undo
+            return extend
     else:
 
         def prefix():
             dis = (C.reshape(len(C), -1) * scale).tolist()
-            ids = []
-            # running[k] is the distortion of the first k ids; extend writes it
-            # before reading it.  A scan holds a required set and then a path
-            # outside it, so every pair id at most once.
+            # running[k] is the distortion of the prefix's first k ids.
             running = [0.0] * (len(dis) + 1)
 
-            def extend(p):
+            def extend(p, ids):
                 k = len(ids)
                 d = running[k + 1] = max(running[k], max(map(dis[p].__getitem__, ids), default=0.0))
-                ids.append(p)
                 return d
 
-            return extend, ids.pop
+            return extend
 
     return _Objective(
         kind=kind,
@@ -702,9 +701,9 @@ def _scan(obj: _Objective, total: int, budget: int):
     stream's cached head (``_stream_table``) up to the count, then, for a cut
     past BLOCK, the rest generated in blocks of BLOCK.  Each block keeps its
     first least row, less its padding.  A longer stream that fits the budget
-    is walked once per required set, held first; a prefix is refused when
-    its bound is not below the best held, and a leaf is scored by its last
-    pair's (the set's if no cover).
+    is walked once per required set, bounded and then held by the
+    enumerator; `admit` only compares the bound of the ids held plus the one
+    asked for with the best, and a leaf scores its last pair's bound.
     """
     best, best_ids = math.inf, None
     n1, n2, zeros = obj.n1, obj.n2, obj.zeros
@@ -723,29 +722,23 @@ def _scan(obj: _Objective, total: int, budget: int):
 
         found = map(first_least, blocks)
     else:
-        extend, undo = obj.prefix()
-        last = math.inf  # the bound of the id admitted last
+        extend = obj.prefix()
+        last = math.inf  # the bound of the id asked for last
 
-        def admit(p):
+        def admit(p, ids):
             nonlocal last
-            bound = extend(p)
-            if bound >= best:
-                undo()
-                return False
-            last = bound
-            return True
+            last = extend(p, ids)
+            return last < best
 
         def walk(extra):
             nonlocal last
-            for p in extra:
-                last = extend(p)
-            for ids in _minimal_id_tuples(n1, n2, admit, undo, zeros):
+            for k in range(len(extra)):
+                last = extend(extra[k], extra[:k])
+            for cand in _minimal_id_tuples(n1, n2, admit, zeros, extra):
                 # A leaf comes right after its last id is admitted, and its
                 # prefix holds every id of its candidate: the bound of that
                 # id is the candidate's cost.
-                yield last, extra + ids
-            for _ in extra:
-                undo()
+                yield last, cand
 
         found = chain.from_iterable(map(walk, obj.required))
     for value, cand in found:

@@ -528,8 +528,10 @@ def run_sequence_experiment(spec: SequenceSpec, budget: int = DEFAULT_BUDGET) ->
 
     gh and tau-h scan each minimal correspondence between an element and the
     limit once, bb-gh no more candidates: an element whose count exceeds the
-    budget is refused before the first scan, so every scan is complete.
+    budget is refused before the first scan, so every scan is complete; a
+    budget that is not an integer >= 1 is refused first (ValueError).
     """
+    _check_count(budget, "budget", 1)
     elements, limit = build_sequence(spec)
     for element in elements:
         total = correspondence_count(element.n, limit.n)

@@ -192,7 +192,10 @@ def build_metric_space(labels, matrix, tol: float = DEFAULT_TOL) -> FiniteMetric
 
 
 def build_timed_space(space: FiniteMetricSpace, tau, tol: float = DEFAULT_TOL) -> TimedMetricSpace:
-    """Attach a time function to a validated space, or raise ValidationError."""
+    """Attach a time function to a validated space, or raise ValidationError
+    (TypeError for a space that is not a FiniteMetricSpace, timed ones too)."""
+    if not isinstance(space, FiniteMetricSpace):
+        raise TypeError(f"space must be a FiniteMetricSpace, got {type(space).__name__}")
     t = np.asarray(tau, dtype=float)
     if t.shape != (space.n,):
         raise ValueError(f"tau must have shape ({space.n},), got {t.shape}")

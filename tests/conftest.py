@@ -158,8 +158,10 @@ def family_stream(n1: int, n2: int, zeros1=(), zeros2=()):
 
 # The recursive enumerator the engine's one-loop `_minimal_id_tuples`
 # replaced, kept verbatim as the reference it must agree with: the same
-# stream, the same admit/retract pairing, and the same asks except the
-# last-row ids that cannot end in a leaf, which only this one asks for.
+# stream and the same asks on the same ids, except the last-row ids that
+# cannot end in a leaf, which only this one asks for.  It tracks the ids it
+# holds through `admit(p)` and `retract()`; the one-loop enumerator hands
+# them to its one hook.
 
 
 def recursive_id_tuples(n1: int, n2: int, admit=None, retract=None, covered=((), ())):

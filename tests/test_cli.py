@@ -253,6 +253,15 @@ def test_sequence_refuses_scans_beyond_the_budget(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_sequence_refuses_a_budget_below_one(tmp_path, capsys):
+    base = str(tmp_path / "cone4.json")
+    run(capsys, "gen", "--n", "4", "--seed", "1", "--time", "cone", "-o", base)
+    code, out, err = run(capsys, "sequence", "--family", "refine-bb-cone", "--base", base,
+                         "--length", "2", "--budget", "0", "--out", str(tmp_path / "t.csv"))
+    assert (code, out, err) == (2, "", "error: budget must be an integer >= 1, got 0\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_sequence_needs_timed_base(tmp_path, capsys):
     plain = str(tmp_path / "plain.json")
     run(capsys, "gen", "--n", "3", "--seed", "5", "-o", plain)

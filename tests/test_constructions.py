@@ -191,6 +191,9 @@ def test_sequence_spec_validation():
         for rate in ("0.5", None, True):
             with pytest.raises(InvalidSpec, match="^rate must be a real number"):
                 tml.build_sequence(tml.SequenceSpec(family, base, 2, rate, 0))
+        # The base must be timed: a metric space has no times to collapse.
+        with pytest.raises(InvalidSpec, match="^base must be a TimedMetricSpace, got FiniteMetricSpace$"):
+            tml.build_sequence(tml.SequenceSpec(family, base.base, 2, 0.5, 0))
 
 
 def loop_triangle_margin(d):

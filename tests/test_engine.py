@@ -115,40 +115,36 @@ def test_enumerator_yields_the_ids_of_its_pairs():
         assert ids == sorted(ids) and decoded == sorted(decoded)
 
 
-def test_enumerator_hooks_refuse_subtrees_and_pair_up():
+def test_enumerator_hook_refuses_subtrees_and_sees_the_ids_it_holds():
     # An admit that refuses some ids removes exactly the tuples holding
-    # them, in stream order; each admitted id is retracted once, last in
-    # first out, and the ids admitted and not yet retracted at a yield are
-    # the yielded tuple, whose last id is the last one admitted.  With covered
-    # points too; the empty cover comes before any id is admitted.
+    # them, in stream order, each after the held ids.  Every ask sees the
+    # enumerator's ids: the held ones, then ids each admitted by an earlier
+    # ask on the ids before it.  A tuple past the held ids comes right after
+    # its last id is admitted on the rest.  With covered points too; the
+    # empty cover comes before any ask.
     rng = np.random.default_rng(0)
     for n1, n2 in itertools.product(range(1, 5), repeat=2):
         cells = list(range(n1 * n2))
         refusals = (set(), {cells[0]}, {cells[-1]}, set(cells[1::3]), set(cells[::2]))
         for refused, covered in itertools.product(refusals, covered_sets(n1, n2, rng, 2)):
-            held, admitted, calls = [], [], {"admit": 0, "retract": 0}
+            held = tuple(rng.integers(n1 * n2, size=rng.integers(3)).tolist())
+            asks = []
 
-            def admit(p):
-                if p in refused:
-                    return False
-                calls["admit"] += 1
-                held.append(p)
-                admitted.append(p)
-                return True
-
-            def retract():
-                calls["retract"] += 1
-                held.pop()
+            def admit(p, ids):
+                ids = tuple(ids)
+                assert ids[:len(held)] == held
+                assert all((ids[:k], ids[k], True) in asks for k in range(len(held), len(ids)))
+                asks.append((ids, p, p not in refused))
+                return p not in refused
 
             walked = []
-            for ids in _minimal_id_tuples(n1, n2, admit, retract, covered):
-                assert tuple(held) == ids
-                assert admitted[-1:] == list(ids[-1:])
+            for ids in _minimal_id_tuples(n1, n2, admit, covered, held):
+                if len(ids) > len(held):
+                    assert asks[-1] == (ids[:-1], ids[-1], True)
                 walked.append(ids)
             stream = _minimal_id_tuples(n1, n2, covered=covered)
-            expected = [t for t in stream if refused.isdisjoint(t)]
-            assert walked == expected, (n1, n2, refused, covered)
-            assert calls["admit"] == calls["retract"] and not held
+            expected = [held + t for t in stream if refused.isdisjoint(t)]
+            assert walked == expected, (n1, n2, refused, covered, held)
 
 
 def test_correspondence_count_is_the_stream_length():
@@ -676,8 +672,13 @@ def test_a_bad_tolerance_fails_the_same_way_everywhere(tol, path3):
     ):
         with pytest.raises(ValueError, match=message):
             call()
-    with pytest.raises(ValueError, match=f"^delta must be a finite real >= 0, got {tol!r}$"):
-        tml.structure_report(timed, delta=tol)
+    for call in (
+        lambda: tml.structure_report(timed, delta=tol),
+        lambda: tml.glue_by_correspondence(path3, path3, identity, tol),
+        lambda: tml.engine.glued_cross_distances(path3, path3, identity, tol),
+    ):
+        with pytest.raises(ValueError, match=f"^delta must be a finite real >= 0, got {tol!r}$"):
+            call()
 
 
 @pytest.mark.parametrize("kind", [tml.DistanceKind.BB_GH, tml.DistanceKind.FD_HH],

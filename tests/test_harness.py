@@ -173,6 +173,16 @@ def test_sequence_experiment_passes(family):
         json.loads(row.details)
 
 
+def test_sequence_experiment_checks_its_budget_first(monkeypatch):
+    # A budget that is not an integer >= 1 is refused as `distance` refuses
+    # it, before any element is built.
+    spec = tml.SequenceSpec("refine-bb-cone", bb_cone_base(), length=2, rate=0.5, seed=3)
+    monkeypatch.setattr(tml.harness, "build_sequence", None)
+    for budget in (0, -1, 2.5, True, "9", 1e9, None):
+        with pytest.raises(ValueError, match=f"^budget must be an integer >= 1, got {budget!r}$"):
+            tml.run_sequence_experiment(spec, budget=budget)
+
+
 def test_sequence_experiment_bb_columns():
     spec = tml.SequenceSpec("perturb-geometric", bb_cone_base(), length=3, rate=0.5, seed=1)
     rows = tml.run_sequence_experiment(spec)

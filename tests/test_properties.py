@@ -10,13 +10,15 @@ block in one batched call from a table cached by shape and zero sets, a
 longer one by a walk that reaches fewer leaves than the stream holds; the
 glued objectives equal the distortion bit for bit, which is how the engine
 scores them.  The prefix bounds the scan prunes on, with a required pair set
-held before the path, never decrease as pairs are added, equal the cost of
-the candidate once the path is a whole minimal cover of the rest, and come
-back when a pair is undone; the rho bounds built a row of children at a
-time equal the one-pair fold, in the walk's order.  The one-loop enumerator
-yields the recursive one's stream (kept in conftest as the reference) and
-asks, refuses and retracts in its order, less the last-row ids that cannot
-end in a leaf.  Local search returns what the set-based descent returns,
+held before the path, never decrease as pairs are added, equal the batched
+cost of each prefix and so the candidate's once the path is a whole minimal
+cover of the rest, and come back when a pair is asked for again at any
+depth; the rho bounds built a row of children at a time equal the one-pair
+fold, in the walk's order with siblings asked for out of order.  The
+one-loop enumerator yields the recursive one's stream (kept in conftest as
+the reference) and asks and refuses in its order on the same ids, less the
+last-row ids that cannot end in a leaf; ids it is told to hold lead every
+tuple and every ask.  Local search returns what the set-based descent returns,
 neighbour tables and tie breaks included, with the add moves it no longer
 builds counted apart.  The table validators return what the plain pair and
 triple loops return, on tables with ties, asymmetric, negative and
@@ -307,9 +309,9 @@ def test_complete_scan_scores_one_block_at_once_and_walks_longer_streams(monkeyp
         assert (len(obj.required), total) == sizes
         calls, leaves = [], []
 
-        def counted(n1, n2, admit=None, retract=None, covered=((), ())):
+        def counted(n1, n2, admit=None, covered=((), ()), held=()):
             # Only the walk passes a prune hook; a stream table's build does not.
-            for ids in walk(n1, n2, admit, retract, covered):
+            for ids in walk(n1, n2, admit, covered, held):
                 if admit is not None:
                     leaves.append(ids)
                 yield ids
@@ -460,6 +462,7 @@ def test_prefix_bounds_never_decrease_and_never_pass_a_cost(
     engine = tml.engine
     obj = engine._objective(kind, x, y, basepoints=(seed % n1, seed // n1 % n2))
     rng = np.random.default_rng(seed)
+    order = np.random.default_rng(seed + 1)  # its own draws leave rng's pairs alone
     cells = [(i, j) for i in range(n1) for j in range(n2)]
     z1, z2 = obj.zeros
     for mask in masks:
@@ -471,19 +474,22 @@ def test_prefix_bounds_never_decrease_and_never_pass_a_cost(
         pairs = minimized(rng, grid, (z1, z2))
         ids = ids_of(pairs, n2)
         # A complete scan holds each required set before the walk's path,
-        # and scores a leaf by the bound of its last pair.
+        # and scores a leaf by the bound of its last pair.  The bound of
+        # every prefix is its own batched cost.
         for extra in obj.required:
-            held = {divmod(i, n2) for i in extra + ids}
+            cand = extra + ids
+            held = {divmod(i, n2) for i in cand}
             assert in_family(held, n1, n2, z1, z2)
             assert not any(in_family(held - {p}, n1, n2, z1, z2) for p in held)
-            extend, undo = obj.prefix()
-            bounds = [extend(i) for i in extra + ids]
+            extend = obj.prefix()
+            bounds = [extend(p, cand[:k]) for k, p in enumerate(cand)]
             assert bounds == sorted(bounds)
-            assert bounds[-1] == obj.costs(engine._padded([extra + ids]))[0]
-            for k in reversed(range(len(ids))):
-                undo()
-                assert extend(ids[k]) == bounds[len(extra) + k]
-                undo()
+            prefixes = engine._padded([cand[:k + 1] for k in range(len(cand))])
+            assert bounds == obj.costs(prefixes).tolist()
+            # Asked again at any depth, in any order, a pair gets its bound:
+            # each ask rewrites only the depth below it, with what it held.
+            for k in order.permutation(len(cand)).tolist():
+                assert extend(cand[k], cand[:k]) == bounds[k]
 
 
 @pytest.mark.parametrize("kind", [K.KAPPA_GH, K.TAU_H], ids=lambda k: k.value)
@@ -497,10 +503,11 @@ def test_prefix_bounds_never_decrease_and_never_pass_a_cost(
 )
 def test_rho_prefix_bounds_equal_the_one_pair_fold(kind, n1, n2, seed, graphs, refuse):
     # The rho prefix bounds a node's children in batches; in the walk's own
-    # admit / retract order, with children refused at random and random
-    # children asked for out of order and undone, every bound is the
+    # order, with children refused at random and random siblings asked for
+    # out of order before a child is asked again, every bound is the
     # one-pair fold's: the prefix's rho table joined with the new pair's gap
-    # table, then its Hausdorff value.
+    # table, then its Hausdorff value.  A leaf's is the plain cost of its
+    # correspondence.
     x1 = tml.random_metric_space(seed, n1, model="graph" if graphs else "euclidean")
     x2 = tml.random_metric_space(seed + 1, n2, model="graph")
     a = tml.random_time_function(seed, x1, model="mcshane")
@@ -509,35 +516,37 @@ def test_rho_prefix_bounds_equal_the_one_pair_fold(kind, n1, n2, seed, graphs, r
     engine = tml.engine
     obj = engine._objective(kind, x, y)
     C = np.abs(x1.d[:, None, :, None] - x2.d[None, :, None, :]).reshape(n1 * n2, n1, n2)
-    tables = [np.abs(a.tau[:, None] - b.tau[None, :]) if kind is K.TAU_H else np.zeros((n1, n2))]
-    extend, undo = obj.prefix()
+    rho = np.abs(a.tau[:, None] - b.tau[None, :]) if kind is K.TAU_H else np.zeros((n1, n2))
+    extend = obj.prefix()
     rng = np.random.default_rng(seed)
     asked = []
 
-    def fold(p):
-        asked.append(p)
-        table = np.maximum(tables[-1], C[p])
-        assert extend(p) == engine._maxmin(table), asked
-        return table
+    def fold(p, ids):
+        bound = extend(p, ids)
+        asked.append((p, bound))
+        assert bound == engine._maxmin(np.maximum.reduce([rho, *C[list(ids) + [p]]])), asked
+        return bound
 
-    def admit(p):
+    def admit(p, ids):
+        ids = tuple(ids)
+        bound = fold(p, ids)
         if rng.random() < refuse:
-            fold(int(rng.integers(n1 * n2)))
-            undo()
-        table = fold(p)
-        if rng.random() < refuse:
-            undo()
-            return False
-        tables.append(table)
+            fold(int(rng.integers(n1 * n2)), ids)
+            if rng.random() < refuse:
+                return False
+            assert fold(p, ids) == bound
         return True
 
-    def retract():
-        undo()
-        tables.pop()
+    def plain(ids):
+        corr = engine.Correspondence(n1, n2, tuple(divmod(p, n2) for p in ids), minimal=True)
+        if kind is K.TAU_H:
+            return engine.timed_correspondence_hausdorff(corr, a, b)
+        return engine.correspondence_hausdorff(corr, x1, x2)
 
-    for _ in engine._minimal_id_tuples(n1, n2, admit, retract):
-        pass
-    assert len(tables) == 1 and asked
+    for ids in engine._minimal_id_tuples(n1, n2, admit):
+        # A leaf comes right after its last id is admitted.
+        assert asked[-1] == (ids[-1], plain(ids))
+    assert asked
 
 
 @st.composite
@@ -558,53 +567,57 @@ def enumerator_configs(draw):
     return n1, n2, covered, refused, after
 
 
-def enumerator_events(enumerate_, n1, n2, covered, refused, after):
-    """Run an enumerator with hooks that refuse by `refused` and `after`, and
-    list what happens: ("ask", held ids, id, admitted), ("retract",) and
-    ("yield", ids).  The held ids are the yielded tuple at every yield."""
-    held, events = [], []
+def enumerator_events(enumerate_, n1, n2, covered, refused, after, held=()):
+    """Run an enumerator with a hook that refuses by `refused` and `after`,
+    and list what happens: ("ask", ids held, id, admitted) and ("yield",
+    ids).  The recursive reference tracks the ids it holds through its own
+    admit and retract; the one-loop enumerator, holding `held` first, hands
+    its ids to admit."""
+    events = []
 
-    def admit(p):
-        admitted = p not in refused and not (held and (held[-1], p) in after)
-        events.append(("ask", tuple(held), p, admitted))
-        if admitted:
-            held.append(p)
+    def ask(p, ids):
+        ids = tuple(ids)
+        admitted = p not in refused and not (ids and (ids[-1], p) in after)
+        events.append(("ask", ids, p, admitted))
         return admitted
 
-    def retract():
-        events.append(("retract",))
-        held.pop()
+    if enumerate_ is recursive_id_tuples:
+        ids = []
 
-    for ids in enumerate_(n1, n2, admit, retract, covered):
-        assert tuple(held) == ids
-        events.append(("yield", ids))
-    assert not held
+        def admit(p):
+            if not ask(p, ids):
+                return False
+            ids.append(p)
+            return True
+
+        stream = recursive_id_tuples(n1, n2, admit, ids.pop, covered)
+    else:
+        stream = enumerate_(n1, n2, ask, covered, held)
+    for t in stream:
+        # A tuple past the held ids comes right after its last id is admitted.
+        if len(t) > len(held):
+            assert events[-1] == ("ask", t[:-1], t[-1], True)
+        events.append(("yield", t))
     return events
 
 
 def dead_ends_dropped(events, n1, n2, stream):
     """The events without the asks of last-row ids that no tuple of the
-    stream extends, each with the retract that backs out of it if it was
-    admitted."""
+    stream extends."""
     first_last = (n1 - 1) * n2
     last_rows = {}  # the last-row ids of the stream's tuples, by the ids above
     for t in stream:
         k = sum(p < first_last for p in t)
         last_rows.setdefault(t[:k], []).append(t[k:])
-    kept, open_asks = [], []
+    kept = []
     for event in events:
         if event[0] == "ask":
-            _, held, p, admitted = event
+            _, held, p, _ = event
             k = sum(q < first_last for q in held)
             taken = held[k:] + (p,)
-            dead = p >= first_last and not any(
-                t[:len(taken)] == taken for t in last_rows.get(held[:k], ()))
-            if admitted:
-                open_asks.append(dead)
-            if dead:
+            if p >= first_last and not any(
+                    t[:len(taken)] == taken for t in last_rows.get(held[:k], ())):
                 continue
-        elif event[0] == "retract" and open_asks.pop():
-            continue
         kept.append(event)
     return kept
 
@@ -615,29 +628,20 @@ def dead_ends_dropped(events, n1, n2, stream):
 @example(config=(3, 3, ([1], [0]), frozenset({4}), frozenset({(0, 4)})))
 def test_one_loop_enumerator_equals_the_recursive_one(config):
     # The one-loop enumerator yields the recursive one's stream, with and
-    # without refusals, and makes its asks and retracts in the same order,
-    # except that it never asks for a last-row id no leaf extends: the
+    # without refusals, and makes its asks in the same order on the same
+    # ids, except that it never asks for a last-row id no leaf extends: the
     # recursive one asks for those and backs out.  Every last-row id it
-    # admits is followed, before its retract, by a yield or a refusal.
+    # admits is at once yielded or followed by the ask of the next.
     n1, n2, covered, refused, after = config
     stream = list(recursive_id_tuples(n1, n2, covered=covered))
     assert list(tml.engine._minimal_id_tuples(n1, n2, covered=covered)) == stream
     old = enumerator_events(recursive_id_tuples, *config)
     new = enumerator_events(tml.engine._minimal_id_tuples, *config)
     assert new == dead_ends_dropped(old, n1, n2, stream)
-    # For each admitted id held: whether it is a last-row id, and whether a
-    # yield or a refusal has followed it yet.
-    open_asks = []
-    for event in new:
-        if event[0] == "ask" and event[3]:
-            open_asks.append([event[2] >= (n1 - 1) * n2, False])
-        elif event[0] == "retract":
-            last_row, followed = open_asks.pop()
-            assert followed or not last_row, (config, event)
-        else:  # a yield or a refused ask
-            for entry in open_asks:
-                entry[1] = True
-    assert not open_asks
+    for event, following in zip(new, new[1:] + [None]):
+        if event[0] == "ask" and event[3] and event[2] >= (n1 - 1) * n2:
+            taken = event[1] + (event[2],)
+            assert following in (("yield", taken), ("ask", taken, *following[2:])), (config, event)
 
 
 def test_the_recursive_enumerator_asks_for_dead_ends():
@@ -651,6 +655,28 @@ def test_the_recursive_enumerator_asks_for_dead_ends():
     assert asks(recursive_id_tuples) == [((), 0), ((0,), 1), ((0,), 2), ((0,), 3),
                                          ((), 1), ((1,), 2)]
     assert asks(tml.engine._minimal_id_tuples) == [((), 0), ((0,), 1), ((0,), 3), ((), 1), ((1,), 2)]
+
+
+def test_held_ids_lead_every_tuple_and_every_ask():
+    # Holding ids h, the enumerator yields h + t for each tuple t of its
+    # stream without them, in order, on every shape of at most 30 pairs
+    # with covered points; with a refusing hook it makes the same asks,
+    # each on ids that start with h.
+    rng = np.random.default_rng(3)
+    shapes = [(n1, n2) for n1 in range(1, 31) for n2 in range(1, 30 // n1 + 1)]
+    for n1, n2 in shapes:
+        covered = ([i for i in range(n1) if rng.random() < 0.5],
+                   [j for j in range(n2) if rng.random() < 0.5])
+        held = tuple(rng.integers(n1 * n2 + 5, size=rng.integers(1, 4)).tolist())
+        stream = list(tml.engine._minimal_id_tuples(n1, n2, covered=covered))
+        assert list(tml.engine._minimal_id_tuples(n1, n2, covered=covered, held=held)) == [
+            held + t for t in stream], (n1, n2, covered, held)
+        refused = frozenset(rng.integers(n1 * n2, size=n1 * n2 // 4).tolist())
+        config = (n1, n2, covered, refused, frozenset())
+        plain = enumerator_events(tml.engine._minimal_id_tuples, *config)
+        events = enumerator_events(tml.engine._minimal_id_tuples, *config, held=held)
+        assert all(e[1][:len(held)] == held for e in events)
+        assert [(e[0], e[1][len(held):], *e[2:]) for e in events] == plain
 
 
 # ---------------------------------------------------------------------------

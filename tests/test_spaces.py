@@ -109,6 +109,23 @@ def test_time_violations(path3):
         tml.build_timed_space(path3, np.array([0.0, 1.0, math.nan]))
 
 
+def test_a_timed_space_gets_no_time_function(path3):
+    # A timed space is not a metric space to time again: built on one, the
+    # result's base would lack the metric attributes every distance reads.
+    timed = tml.build_timed_space(path3, path3.d[0])
+    message = "^space must be a FiniteMetricSpace, got TimedMetricSpace$"
+    for call in (
+        lambda: tml.build_timed_space(timed, path3.d[0]),
+        lambda: tml.random_time_function(3, timed),
+        lambda: tml.random_time_function(3, timed, model="set-cone"),
+        lambda: tml.make_future_developed(timed, [0]),
+    ):
+        with pytest.raises(TypeError, match=message):
+            call()
+    with pytest.raises(TypeError, match="^space must be a FiniteMetricSpace, got ndarray$"):
+        tml.build_timed_space(path3.d, path3.d[0])
+
+
 def test_classify_cone_is_big_bang(path3):
     timed = tml.build_timed_space(path3, path3.d[0])
     assert tml.classify(timed) is tml.SpaceClass.BIG_BANG
