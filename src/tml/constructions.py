@@ -22,6 +22,7 @@ from .spaces import (
     TimedMetricSpace,
     _check_count,
     _check_index,
+    _check_type,
     build_metric_space,
     build_timed_space,
     classify,
@@ -160,8 +161,10 @@ def random_time_function(
     mcshane: max(0, min over random anchors of value + distance), which is
     1-Lipschitz by construction and generically of no special class.
     `subset_size` and `anchors` must be integers >= 1 whatever the model;
-    each is capped at the number of points.
+    each is capped at the number of points.  A space that is not a
+    FiniteMetricSpace, a timed one included, raises TypeError.
     """
+    _check_type(space, FiniteMetricSpace)
     for name, value, least in (("seed", seed, 0), ("subset_size", subset_size, 1), ("anchors", anchors, 1)):
         _check_count(value, name, least)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), space.n, 0x71ED]))

@@ -26,7 +26,14 @@ from .errors import (
     IndexOutOfRange,
     TooFewCoordinates,
 )
-from .spaces import FiniteMetricSpace, TimedMetricSpace, _check_index, _maxmin, _readonly
+from .spaces import (
+    FiniteMetricSpace,
+    TimedMetricSpace,
+    _check_index,
+    _check_type,
+    _maxmin,
+    _readonly,
+)
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,9 @@ def frechet_embed(space: FiniteMetricSpace, enum: Enumeration) -> LinftyCloud:
 
 
 def timed_frechet_embed(timed: TimedMetricSpace, enum: Enumeration) -> LinftyCloud:
-    """Like frechet_embed, with tau prepended as coordinate zero."""
+    """Like frechet_embed, with tau prepended as coordinate zero (TypeError
+    for a space that is not a TimedMetricSpace)."""
+    _check_type(timed, TimedMetricSpace, "timed")
     _check_enumeration(timed.n, enum)
     idx = np.array(enum.seq, dtype=int)
     coords = np.concatenate([timed.tau[:, None], timed.d[idx, :].T], axis=1)

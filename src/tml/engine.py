@@ -514,6 +514,8 @@ def simple_lower_bounds(kind: DistanceKind, a, b) -> float:
     """Cheap certified lower bounds: half the diameter gap for every kind,
     joined for tau-h with the Hausdorff distance between the two sets of time
     values on the line."""
+    if not isinstance(kind, DistanceKind):
+        raise ValueError(f"unknown distance kind {kind!r}")
     x1, x2 = _base_of(a), _base_of(b)
     bound = abs(x1.diameter - x2.diameter) / 2.0
     if kind is DistanceKind.TAU_H:

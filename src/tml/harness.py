@@ -12,12 +12,17 @@ default budget, so every campaign scan runs to completion.  Sequence elements gr
 such a cap: `run_sequence_experiment` refuses, before its first scan, a
 sequence with an element whose scans would not fit its budget.
 
-Trials run one after another in trial order, so a configuration always
+Each trial draws from its own generator, seeded by the campaign seed, the
+suite's place in `_TRIAL_BODIES` (counted from 1) and the trial number, so a
+failing row's `suite`, `trial` and `seed` rerun it as the last trial of
+`tml campaign --suite <suite> --trials <trial + 1> --seed <seed>` at the same
+nmax.  Trials run one after another in trial order, so a configuration always
 yields the same rows in the same order and byte-identical reports.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -55,19 +60,6 @@ from .spaces import (
     classify,
     structure_report,
 )
-
-SUITES = (
-    "sandwich",
-    "order",
-    "bb",
-    "fd",
-    "limits",
-    "certificates",
-    "triangle-explore",
-    "all",
-)
-
-_SUITE_IDS = {name: k for k, name in enumerate(SUITES[:-1], start=1)}
 
 EXACT_NMAX = 4
 SAMPLE_COUNT = 1000
@@ -121,7 +113,7 @@ def _details(**kwargs) -> str:
     return json.dumps(kwargs, sort_keys=True, default=np.generic.item)
 
 
-def _make_row(suite, trial, check, a, b, seed, lhs, rhs, asserted=True, **extra):
+def _make_row(suite, trial, seed, check, a, b, lhs, rhs, asserted=True, **extra):
     lhs = float(lhs)
     rhs = float(rhs)
     slack = rhs - lhs
@@ -139,12 +131,6 @@ def _make_row(suite, trial, check, a, b, seed, lhs, rhs, asserted=True, **extra)
         slack=slack,
         passed=bool(slack >= -CHECK_TOL) if asserted else True,
         details=_details(**extra),
-    )
-
-
-def _trial_rng(cfg: CampaignConfig, suite: str, trial: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, _SUITE_IDS[suite], trial])
     )
 
 
@@ -181,149 +167,132 @@ def _worked_bb_pair() -> tuple[TimedMetricSpace, TimedMetricSpace]:
 
 
 # ---------------------------------------------------------------------------
-# Per-suite trial bodies.  Each returns the rows for one trial.
+# Per-suite trial bodies.  `run_suite` hands each body `row`, the row maker
+# stamped with the suite, trial and campaign seed, and the trial's generator;
+# a body returns the rows for one trial.
 
 
-def _chain_row(suite, trial, check, a, b, seed, values, **extra):
+def _chain_row(row, check, a, b, values, **extra):
     """Row for a chain v0 <= v1 <= ... reporting the tightest adjacent link."""
     gaps = [(values[k + 1] - values[k], k) for k in range(len(values) - 1)]
     _, k = min(gaps)
-    return _make_row(suite, trial, check, a, b, seed, values[k], values[k + 1], **extra)
+    return row(check, a, b, values[k], values[k + 1], **extra)
 
 
-def _sandwich_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
-    rng = _trial_rng(cfg, "sandwich", trial)
-    x1, m1, s1 = _random_space(rng, cfg.nmax)
-    x2, m2, s2 = _random_space(rng, cfg.nmax)
+def _sandwich_trial(row, rng, nmax, trial) -> list[ReportRow]:
+    x1, m1, s1 = _random_space(rng, nmax)
+    x2, m2, s2 = _random_space(rng, nmax)
     gh = gh_distance(x1, x2)
     kappa = kappa_gh_distance(x1, x2)
-    row = _chain_row(
-        "sandwich",
-        trial,
+    return [_chain_row(
+        row,
         "gh<=kappa<=2gh",
         x1,
         x2,
-        cfg.seed,
         [gh.upper, kappa.upper, 2.0 * gh.upper],
         gh=gh.upper,
         kappa=kappa.upper,
         models=[m1, m2],
         seeds=[s1, s2],
-    )
-    return [row]
+    )]
 
 
-def _order_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
-    rng = _trial_rng(cfg, "order", trial)
-    t1, info1 = _random_timed(rng, cfg.nmax)
-    t2, info2 = _random_timed(rng, cfg.nmax)
+def _order_trial(row, rng, nmax, trial) -> list[ReportRow]:
+    t1, info1 = _random_timed(rng, nmax)
+    t2, info2 = _random_timed(rng, nmax)
     gh = gh_distance(t1.base, t2.base)
     kappa = kappa_gh_distance(t1.base, t2.base)
     tau = tau_h_distance(t1, t2)
-    row = _chain_row(
-        "order",
-        trial,
+    return [_chain_row(
+        row,
         "gh<=kappa<=tau-h",
         t1,
         t2,
-        cfg.seed,
         [gh.upper, kappa.upper, tau.upper],
         gh=gh.upper,
         kappa=kappa.upper,
         tau_h=tau.upper,
         gen=[info1, info2],
-    )
-    return [row]
+    )]
 
 
-def _bb_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
+def _bb_trial(row, rng, nmax, trial) -> list[ReportRow]:
     if trial == 0:
         t1, t2 = _worked_bb_pair()
         gen = "worked-pair"
     else:
-        rng = _trial_rng(cfg, "bb", trial)
-        t1, info1 = _random_timed(rng, cfg.nmax, time_model="cone")
-        t2, info2 = _random_timed(rng, cfg.nmax, time_model="cone")
+        t1, info1 = _random_timed(rng, nmax, time_model="cone")
+        t2, info2 = _random_timed(rng, nmax, time_model="cone")
         gen = [info1, info2]
     tau = tau_h_distance(t1, t2)
     approx = bb_gh(t1, t2)
-    row = _make_row(
-        "bb",
-        trial,
+    return [row(
         "tau-h<=2*bb-gh-upper",
         t1,
         t2,
-        cfg.seed,
         tau.upper,
         2.0 * approx.upper,
         tau_h=tau.upper,
         bb_lower=approx.lower,
         bb_upper=approx.upper,
         gen=gen,
-    )
-    return [row]
+    )]
 
 
-def _fd_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
-    rng = _trial_rng(cfg, "fd", trial)
-    t1, info1 = _random_timed(rng, cfg.nmax, time_model="set-cone")
-    t2, info2 = _random_timed(rng, cfg.nmax, time_model="set-cone")
+def _fd_trial(row, rng, nmax, trial) -> list[ReportRow]:
+    t1, info1 = _random_timed(rng, nmax, time_model="set-cone")
+    t2, info2 = _random_timed(rng, nmax, time_model="set-cone")
     tau = tau_h_distance(t1, t2)
     approx = fd_hh(t1, t2)
-    row = _make_row(
-        "fd",
-        trial,
+    return [row(
         "tau-h<=2*fd-hh-upper",
         t1,
         t2,
-        cfg.seed,
         tau.upper,
         2.0 * approx.upper,
         tau_h=tau.upper,
         fd_lower=approx.lower,
         fd_upper=approx.upper,
         gen=[info1, info2],
-    )
-    return [row]
+    )]
 
 
-def _limits_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
-    rng = _trial_rng(cfg, "limits", trial)
+def _limits_trial(row, rng, nmax, trial) -> list[ReportRow]:
     rows = []
 
     # Bang side: X exactly big bang, Y with a nonempty exact zero set.
-    x_bb, info_x = _random_timed(rng, cfg.nmax, time_model="cone")
-    y1, info_y1 = _random_timed(rng, cfg.nmax, time_model="set-cone")
+    x_bb, info_x = _random_timed(rng, nmax, time_model="cone")
+    y1, info_y1 = _random_timed(rng, nmax, time_model="set-cone")
     eps = tau_h_distance(x_bb, y1).upper
     report = structure_report(y1, delta=0.0)
     zeros = np.array(report.zero_set, dtype=int)
     spread = float(np.abs(y1.tau[None, :] - y1.d[zeros, :]).max())
     rows.append(
-        _make_row(
-            "limits", trial, "zero-diam<=4eps", x_bb, y1, cfg.seed,
+        row(
+            "zero-diam<=4eps", x_bb, y1,
             report.zero_diam, 4.0 * eps,
             eps=eps, gen=[info_x, info_y1],
         )
     )
     rows.append(
-        _make_row(
-            "limits", trial, "tau-vs-dist<=4eps", x_bb, y1, cfg.seed,
+        row(
+            "tau-vs-dist<=4eps", x_bb, y1,
             spread, 4.0 * eps,
             eps=eps, gen=[info_x, info_y1],
         )
     )
     ratio = spread / eps if eps > 0 else 0.0
     rows.append(
-        _make_row(
-            "limits", trial, "bb-ratio-observed", x_bb, y1, cfg.seed,
+        row(
+            "bb-ratio-observed", x_bb, y1,
             spread, 4.0 * eps, asserted=False,
             eps=eps, ratio=ratio,
         )
     )
 
     # Developed side: X exactly future developed, Y arbitrary.
-    x_fd, info_x2 = _random_timed(rng, cfg.nmax, time_model="set-cone")
-    y2, info_y2 = _random_timed(rng, cfg.nmax, time_model="mcshane")
+    x_fd, info_x2 = _random_timed(rng, nmax, time_model="set-cone")
+    y2, info_y2 = _random_timed(rng, nmax, time_model="mcshane")
     eps2 = tau_h_distance(x_fd, y2).upper
     admissible = y2.tau <= eps2 + CHECK_TOL
     if admissible.any():
@@ -332,8 +301,8 @@ def _limits_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     else:
         worst = math.inf
     rows.append(
-        _make_row(
-            "limits", trial, "fd-witness<=3eps", x_fd, y2, cfg.seed,
+        row(
+            "fd-witness<=3eps", x_fd, y2,
             worst, 3.0 * eps2,
             eps=eps2, gen=[info_x2, info_y2],
         )
@@ -369,20 +338,19 @@ def _sample_enumeration_costs(rng, d1, d2, tau1, tau2, count):
     return _maxmin(rho)
 
 
-def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
-    rng = _trial_rng(cfg, "certificates", trial)
-    x1, m1, s1 = _random_space(rng, cfg.nmax)
-    x2, m2, s2 = _random_space(rng, cfg.nmax)
-    t1, info1 = _random_timed(rng, cfg.nmax)
-    t2, info2 = _random_timed(rng, cfg.nmax)
+def _certificates_trial(row, rng, nmax, trial) -> list[ReportRow]:
+    x1, m1, s1 = _random_space(rng, nmax)
+    x2, m2, s2 = _random_space(rng, nmax)
+    t1, info1 = _random_timed(rng, nmax)
+    t2, info2 = _random_timed(rng, nmax)
     rows = []
 
     kappa = kappa_gh_distance(x1, x2)
     e1, e2 = enumerations_from_correspondence(kappa.certificate)
     cert = hausdorff_sup(frechet_embed(x1, e1), frechet_embed(x2, e2))
     rows.append(
-        _make_row(
-            "certificates", trial, "kappa-cert-equal", x1, x2, cfg.seed,
+        row(
+            "kappa-cert-equal", x1, x2,
             abs(cert - kappa.upper), 1e-12,
             kappa=kappa.upper, cert=cert, models=[m1, m2], seeds=[s1, s2],
         )
@@ -392,8 +360,8 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     f1, f2 = enumerations_from_correspondence(tau.certificate)
     tcert = hausdorff_sup(timed_frechet_embed(t1, f1), timed_frechet_embed(t2, f2))
     rows.append(
-        _make_row(
-            "certificates", trial, "tau-cert-equal", t1, t2, cfg.seed,
+        row(
+            "tau-cert-equal", t1, t2,
             abs(tcert - tau.upper), 1e-12,
             tau_h=tau.upper, cert=tcert, gen=[info1, info2],
         )
@@ -405,8 +373,8 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     glued = glue_by_correspondence(x1, x2, gh.certificate, delta)
     inside = hausdorff_in(glued.space, glued.inject1, glued.inject2)
     rows.append(
-        _make_row(
-            "certificates", trial, "glued-hausdorff<=delta", x1, x2, cfg.seed,
+        row(
+            "glued-hausdorff<=delta", x1, x2,
             inside, delta + 1e-12,
             gh=gh.upper, delta=delta,
         )
@@ -416,8 +384,8 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
         rng, x1.d, x2.d, None, None, SAMPLE_COUNT
     )
     rows.append(
-        _make_row(
-            "certificates", trial, "kappa-samples-no-better", x1, x2, cfg.seed,
+        row(
+            "kappa-samples-no-better", x1, x2,
             kappa.upper, float(kappa_samples.min()) + 1e-12,
             samples=SAMPLE_COUNT,
         )
@@ -426,8 +394,8 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
         rng, t1.d, t2.d, t1.tau, t2.tau, SAMPLE_COUNT
     )
     rows.append(
-        _make_row(
-            "certificates", trial, "tau-samples-no-better", t1, t2, cfg.seed,
+        row(
+            "tau-samples-no-better", t1, t2,
             tau.upper, float(tau_samples.min()) + 1e-12,
             samples=SAMPLE_COUNT,
         )
@@ -435,25 +403,25 @@ def _certificates_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
     return rows
 
 
-def _triangle_trial(cfg: CampaignConfig, trial: int) -> list[ReportRow]:
-    rng = _trial_rng(cfg, "triangle-explore", trial)
-    ta, info_a = _random_timed(rng, cfg.nmax)
-    tb, info_b = _random_timed(rng, cfg.nmax)
-    tc, info_c = _random_timed(rng, cfg.nmax)
+def _triangle_trial(row, rng, nmax, trial) -> list[ReportRow]:
+    ta, info_a = _random_timed(rng, nmax)
+    tb, info_b = _random_timed(rng, nmax)
+    tc, info_c = _random_timed(rng, nmax)
     v_ab = tau_h_distance(ta, tb).upper
     v_bc = tau_h_distance(tb, tc).upper
     v_ac = tau_h_distance(ta, tc).upper
     denom = v_ab + v_bc
     ratio = v_ac / denom if denom > 0 else (0.0 if v_ac == 0 else math.inf)
-    row = _make_row(
-        "triangle-explore", trial, "triangle-ratio-observed", ta, tc, cfg.seed,
+    return [row(
+        "triangle-ratio-observed", ta, tc,
         v_ac, denom, asserted=False,
         ab=v_ab, bc=v_bc, ac=v_ac, ratio=ratio,
         gen=[info_a, info_b, info_c],
-    )
-    return [row]
+    )]
 
 
+# The one list of suites, in report order.  A suite's place in it seeds its
+# trials, so moving a suite changes its rows.
 _TRIAL_BODIES = {
     "sandwich": _sandwich_trial,
     "order": _order_trial,
@@ -463,6 +431,8 @@ _TRIAL_BODIES = {
     "certificates": _certificates_trial,
     "triangle-explore": _triangle_trial,
 }
+
+SUITES = (*_TRIAL_BODIES, "all")
 
 
 def _check_config(cfg: CampaignConfig) -> None:
@@ -480,12 +450,14 @@ def _check_config(cfg: CampaignConfig) -> None:
 def run_suite(cfg: CampaignConfig) -> list[ReportRow]:
     """Run one suite (or all of them); rows are ordered by suite then trial."""
     _check_config(cfg)
-    names = SUITES[:-1] if cfg.suite == "all" else (cfg.suite,)
     rows: list[ReportRow] = []
-    for name in names:
-        body = _TRIAL_BODIES[name]
+    for place, (name, body) in enumerate(_TRIAL_BODIES.items(), start=1):
+        if cfg.suite not in (name, "all"):
+            continue
         for trial in range(cfg.trials):
-            rows.extend(body(cfg, trial))
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, place, trial]))
+            row = functools.partial(_make_row, name, trial, cfg.seed)
+            rows.extend(body(row, rng, cfg.nmax, trial))
     return rows
 
 

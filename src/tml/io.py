@@ -32,6 +32,7 @@ from .errors import ParseError, SchemaError, ValidationError
 from .spaces import (
     FiniteMetricSpace,
     TimedMetricSpace,
+    _check_type,
     build_metric_space,
     build_timed_space,
 )
@@ -140,7 +141,10 @@ def _space_of(data) -> AnySpace:
 
 
 def write_space(space: AnySpace, path, name: str = "space") -> None:
-    """Serialize a space to JSON with full-precision reals."""
+    """Serialize a space to JSON with full-precision reals.  A name that is
+    not a str, which `read_space` would refuse, raises TypeError before the
+    file is opened."""
+    _check_type(name, str, "name")
     if isinstance(space, TimedMetricSpace):
         base, tau = space.base, space.tau
     else:

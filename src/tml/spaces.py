@@ -194,8 +194,7 @@ def build_metric_space(labels, matrix, tol: float = DEFAULT_TOL) -> FiniteMetric
 def build_timed_space(space: FiniteMetricSpace, tau, tol: float = DEFAULT_TOL) -> TimedMetricSpace:
     """Attach a time function to a validated space, or raise ValidationError
     (TypeError for a space that is not a FiniteMetricSpace, timed ones too)."""
-    if not isinstance(space, FiniteMetricSpace):
-        raise TypeError(f"space must be a FiniteMetricSpace, got {type(space).__name__}")
+    _check_type(space, FiniteMetricSpace)
     t = np.asarray(tau, dtype=float)
     if t.shape != (space.n,):
         raise ValueError(f"tau must have shape ({space.n},), got {t.shape}")
@@ -233,8 +232,10 @@ class StructureReport:
 
 def structure_report(timed: TimedMetricSpace, delta: float = 0.0) -> StructureReport:
     """The zero set (times <= delta) and the defects `classify` reads off it.
-    A delta that is not a finite real >= 0 raises ValueError."""
+    A delta that is not a finite real >= 0 raises ValueError, a space that is
+    not a TimedMetricSpace TypeError."""
     _check_tol(delta, "delta")
+    _check_type(timed, TimedMetricSpace, "timed")
     tau = timed.tau
     zero = tuple(int(i) for i in range(timed.n) if tau[i] <= delta)
     if not zero:
@@ -280,6 +281,12 @@ def _check_count(value, name: str, least: int, error: type[Exception] = ValueErr
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_type(value, cls: type, name: str = "space") -> None:
+    """Refuse, with TypeError, a `name` that is not a `cls`."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def classify(timed: TimedMetricSpace, tol: float = DEFAULT_TOL) -> SpaceClass:
     """Classify a timed space, reporting the strongest class that applies.
 
@@ -287,7 +294,8 @@ def classify(timed: TimedMetricSpace, tol: float = DEFAULT_TOL) -> SpaceClass:
     from it (bb_defect <= tol); future developed requires tau equal to the
     distance from the whole zero set (fd_defect <= tol, zero set nonempty).
     A big bang space is in particular future developed; the stronger class
-    is returned.  A tol that is not a finite real >= 0 raises ValueError.
+    is returned.  A tol that is not a finite real >= 0 raises ValueError, a
+    space that is not a TimedMetricSpace TypeError.
     """
     _check_tol(tol)
     return report_class(structure_report(timed, delta=tol), tol)

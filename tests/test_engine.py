@@ -501,6 +501,18 @@ def test_simple_lower_bounds(worked_bb_pair):
     assert tml.engine.simple_lower_bounds(tml.DistanceKind.TAU_H, t1, t2) == 1.0
 
 
+@pytest.mark.parametrize("kind", ["tau-h", "gh", "nonsense", None, 0])
+def test_simple_lower_bounds_refuse_a_kind_that_is_not_a_distance_kind(worked_bb_pair, kind):
+    # A string would skip the time-gap bound and the timed check; refuse it
+    # as `distance` does.
+    t1, t2 = worked_bb_pair
+    message = f"^unknown distance kind {re.escape(repr(kind))}$"
+    with pytest.raises(ValueError, match=message):
+        tml.simple_lower_bounds(kind, t1, t2)
+    with pytest.raises(ValueError, match=message):
+        tml.distance(kind, t1, t2)
+
+
 # ---------------------------------------------------------------------------
 # Budgets, certificates, re-evaluation.
 

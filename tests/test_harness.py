@@ -109,6 +109,78 @@ def test_all_suite_concatenates():
     assert combined == separate
 
 
+# Child seeds that trials 0 and 1 of each suite record in `details` at
+# campaign seed 0 and nmax 4, in the order the trial draws them.  Trial t of
+# the suite at place k in the registry (counted from 1) draws from
+# SeedSequence([0, k, t]); bb's trial 0 is the worked pair and draws nothing.
+PINNED_CHILD_SEEDS = {
+    "sandwich": (
+        [2569345756469950195, 4411141398483625569],
+        [1172557268107116768, 4267626154262512404],
+    ),
+    "order": (
+        [1855916738623615970, 669156726013743145, 1507738635701639905, 545754695323330169],
+        [3836524830075456871, 643201892374202827, 4517446418803555822, 4006924582888802055],
+    ),
+    "bb": (
+        [],
+        [3716512324385385274, 671969226984420625, 65782199626216917, 2309447013398893999],
+    ),
+    "fd": (
+        [1054197628430032205, 1893773163966736277, 1012651768420128213, 3179482179817881763],
+        [1707951954393532384, 3906761210882069697, 2614058709279550615, 841831264763773034],
+    ),
+    "limits": (
+        [2526046682378510680, 1897423507768214926, 2822659685707798003, 454021181015880937,
+         354149594662167548, 2109767560176835661, 3490859972486207842, 1939730062533965828],
+        [4369603126566708817, 1206610276041561296, 676792127786876469, 493385491976430302,
+         3538066426978942627, 2610218166759850116, 838237547860514432, 3470540677067268084],
+    ),
+    "certificates": (
+        [983650215818797056, 2517575233999649642, 2889840132752480020, 327233898831777369,
+         392715031774437494, 2653794493733439093],
+        [3156081829854607658, 4022992113734486455, 2053825894135516064, 828091766280193637,
+         3530270607682954159, 2575176082785059034],
+    ),
+    "triangle-explore": (
+        [3583867920954890687, 2197499804361925096, 4373534848072961526, 571370200341977611,
+         4193616774312064338, 3837410915264158742],
+        [244825963609059, 724602644654813729, 1641949114138833030, 782976372863548113,
+         480918164965822062, 4017928215443676712],
+    ),
+}
+
+
+def child_seeds(details):
+    """The "seed", "seeds" and "tseed" values in a row's details, keys sorted."""
+    found = []
+
+    def walk(value, key=None):
+        if isinstance(value, dict):
+            for k in sorted(value):
+                walk(value[k], k)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item, key)
+        elif key in ("seed", "seeds", "tseed"):
+            found.append(value)
+
+    walk(json.loads(details))
+    return found
+
+
+def test_trial_seeds_follow_the_suite_place_and_the_trial():
+    assert list(PINNED_CHILD_SEEDS) == list(tml.SUITES[:-1])
+    for suite, pinned in PINNED_CHILD_SEEDS.items():
+        rows = tml.run_suite(tml.CampaignConfig(suite=suite, trials=2, seed=0))
+        for trial, seeds in enumerate(pinned):
+            recorded = []
+            for row in rows:
+                if row.trial == trial:
+                    recorded.extend(s for s in child_seeds(row.details) if s not in recorded)
+            assert recorded == seeds, (suite, trial)
+
+
 def test_runs_are_deterministic():
     cfg = small("sandwich", trials=5)
     assert tml.run_suite(cfg) == tml.run_suite(cfg)

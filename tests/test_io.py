@@ -33,6 +33,17 @@ def test_round_trip_timed(tmp_path, path3):
     assert second.read_bytes() == target.read_bytes()
 
 
+@pytest.mark.parametrize("name", [5, None, b"path3", ["path3"]])
+def test_write_refuses_a_name_read_would_refuse(tmp_path, path3, name):
+    target = tmp_path / "path.json"
+    with pytest.raises(TypeError, match=f"^name must be a str, got {type(name).__name__}$"):
+        tml.write_space(path3, target, name=name)
+    assert not target.exists()
+    tml.write_space(path3, target, name=str(name))
+    assert json.loads(target.read_text())["name"] == str(name)
+    assert tml.read_space(target).labels == path3.labels
+
+
 def test_round_trip_preserves_awkward_floats(tmp_path):
     d = np.array([[0.0, 0.1], [0.1, 0.0]])
     space = tml.build_metric_space(("a", "b"), d)

@@ -118,12 +118,30 @@ def test_a_timed_space_gets_no_time_function(path3):
         lambda: tml.build_timed_space(timed, path3.d[0]),
         lambda: tml.random_time_function(3, timed),
         lambda: tml.random_time_function(3, timed, model="set-cone"),
+        lambda: tml.random_time_function(3, timed, model="mcshane"),
         lambda: tml.make_future_developed(timed, [0]),
     ):
         with pytest.raises(TypeError, match=message):
             call()
-    with pytest.raises(TypeError, match="^space must be a FiniteMetricSpace, got ndarray$"):
-        tml.build_timed_space(path3.d, path3.d[0])
+    for call in (
+        lambda: tml.build_timed_space(path3.d, path3.d[0]),
+        lambda: tml.random_time_function(3, path3.d, model="mcshane"),
+    ):
+        with pytest.raises(TypeError, match="^space must be a FiniteMetricSpace, got ndarray$"):
+            call()
+
+
+def test_an_untimed_space_has_no_time_structure(path3):
+    enum = tml.Enumeration((0, 1, 2))
+    message = "^timed must be a TimedMetricSpace, got FiniteMetricSpace$"
+    for call in (
+        lambda: tml.classify(path3),
+        lambda: tml.structure_report(path3),
+        lambda: tml.structure_report(path3, delta=0.5),
+        lambda: tml.timed_frechet_embed(path3, enum),
+    ):
+        with pytest.raises(TypeError, match=message):
+            call()
 
 
 def test_classify_cone_is_big_bang(path3):
