@@ -20,14 +20,7 @@ from .constructions import (
     random_time_function,
 )
 from .engine import DEFAULT_BUDGET, TIMED_KINDS, DistanceKind, distance
-from .errors import (
-    BudgetTooSmall,
-    InvalidSpec,
-    ParseError,
-    SchemaError,
-    TmlError,
-    ValidationError,
-)
+from .errors import BudgetTooSmall, InvalidSpec, SchemaError, TmlError
 from .harness import SUITES, CampaignConfig, run_sequence_experiment, run_suite
 from .io import read_space, write_report, write_space
 from .spaces import DEFAULT_TOL, TimedMetricSpace, classify, structure_report
@@ -168,7 +161,7 @@ def _cmd_campaign(args) -> int:
     return _report(
         run_suite(cfg), args, f"suite {args.suite}",
         lambda r: f"suite={r.suite}, trial={r.trial}, check={r.check}, seed={r.seed}, "
-        f"n1={r.n1}, n2={r.n2}",
+        f"nmax={cfg.nmax}, n1={r.n1}, n2={r.n2}",
     )
 
 
@@ -254,8 +247,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ParseError, SchemaError) as err:
-        return _fail(str(err), 1)
     except _USAGE_ERRORS as err:
         return _fail(str(err), 2)
     except TmlError as err:

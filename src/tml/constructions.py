@@ -188,9 +188,6 @@ def random_time_function(
 # ---------------------------------------------------------------------------
 # Convergent sequences.
 
-SEQUENCE_FAMILIES = ("perturb-geometric", "refine-bb-cone", "collapse-time")
-
-
 @dataclass(frozen=True)
 class SequenceSpec:
     """Parameters of a deterministic sequence of timed spaces with a known limit."""
@@ -234,26 +231,24 @@ def _perturb_family(spec: SequenceSpec):
     n = base.n
     report = structure_report(base, delta=0.0)
     exact_zero = tuple(report.zero_set) if report.fd_defect == 0.0 else ()
-    margin = _triangle_margin(d0) if n >= 3 else np.inf
-    amplitude = min(0.25, 0.9 * margin) if np.isfinite(margin) else 0.25
-    amplitude = max(0.0, amplitude)
+    amplitude = max(0.0, min(0.25, 0.9 * _triangle_margin(d0)))
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, n, 0x9E27]))
     noise = rng.uniform(0.2, 0.95, size=(n, n))
     noise = np.triu(noise, 1)
     noise = noise + noise.T
-    if n >= 2:
-        # Pin the strongest perturbation on a diameter pair so the elementwise
-        # change has a known maximum, and on the zero-set-to-latest-point edges
-        # so the rebuilt cone time moves by exactly that maximum.
-        flat = int(d0.argmax())
-        pstar, qstar = divmod(flat, n)
-        noise[pstar, qstar] = noise[qstar, pstar] = 1.0
-        if exact_zero and base.tau_max > 0.0:
-            xhat = int(base.tau.argmax())
-            for q in exact_zero:
-                if q != xhat:
-                    noise[q, xhat] = noise[xhat, q] = 1.0
+    # Pin the strongest perturbation on a diameter pair so the elementwise
+    # change has a known maximum, and on the zero-set-to-latest-point edges
+    # so the rebuilt cone time moves by exactly that maximum.  A one-point
+    # base pins its diagonal, which fill_diagonal clears.
+    flat = int(d0.argmax())
+    pstar, qstar = divmod(flat, n)
+    noise[pstar, qstar] = noise[qstar, pstar] = 1.0
+    if exact_zero and base.tau_max > 0.0:
+        xhat = int(base.tau.argmax())
+        for q in exact_zero:
+            if q != xhat:
+                noise[q, xhat] = noise[xhat, q] = 1.0
     np.fill_diagonal(noise, 0.0)
 
     elements = []
@@ -262,12 +257,11 @@ def _perturb_family(spec: SequenceSpec):
         dj = _shortest_path_closure(d0 * (1.0 + scale * noise))
         space_j = build_metric_space(base.labels, dj)
         if exact_zero:
-            tau_j = dj[np.array(exact_zero, dtype=int), :].min(axis=0)
+            elements.append(make_future_developed(space_j, exact_zero))
         else:
             # Largest function below the base time that is 1-Lipschitz for the
             # perturbed metric; a no-op here since distances only grew.
-            tau_j = (base.tau[:, None] + dj).min(axis=0)
-        elements.append(build_timed_space(space_j, tau_j))
+            elements.append(build_timed_space(space_j, (base.tau[:, None] + dj).min(axis=0)))
     return elements, base
 
 
@@ -277,6 +271,7 @@ def _refine_family(spec: SequenceSpec):
         raise InvalidSpec("refine-bb-cone needs an exactly big bang base")
     n = base.n
     host = int(base.tau.argmax())
+    bang = structure_report(base, delta=0.0).zero_set[0]
     span = 0.5 * max(base.base.diameter, 1.0)
     used = set(base.labels)
     elements = []
@@ -296,10 +291,7 @@ def _refine_family(spec: SequenceSpec):
             while name in used:
                 name += "_"
             labels.append(name)
-        space_j = build_metric_space(labels, d)
-        bang = structure_report(base, delta=0.0).zero_set[0]
-        tau_j = space_j.d[bang, :]
-        elements.append(build_timed_space(space_j, tau_j))
+        elements.append(make_future_developed(build_metric_space(labels, d), [bang]))
     return elements, base
 
 
@@ -312,8 +304,19 @@ def _collapse_family(spec: SequenceSpec):
     return elements, limit
 
 
+# The one list of sequence families, in CLI order.
+_FAMILIES = {
+    "perturb-geometric": _perturb_family,
+    "refine-bb-cone": _refine_family,
+    "collapse-time": _collapse_family,
+}
+
+SEQUENCE_FAMILIES = tuple(_FAMILIES)
+
+
 def build_sequence(spec: SequenceSpec) -> tuple[list[TimedMetricSpace], TimedMetricSpace]:
-    """Build (elements, limit) for a sequence family.
+    """Build (elements, limit) for a sequence family, through its builder in
+    `_FAMILIES`.
 
     perturb-geometric: multiplicative noise on the distances with geometrically
     shrinking amplitude, repaired by shortest-path closure; time is rebuilt as
@@ -331,11 +334,7 @@ def build_sequence(spec: SequenceSpec) -> tuple[list[TimedMetricSpace], TimedMet
     with time identically zero.
     """
     _check_spec(spec)
-    if spec.family == "perturb-geometric":
-        return _perturb_family(spec)
-    if spec.family == "refine-bb-cone":
-        return _refine_family(spec)
-    return _collapse_family(spec)
+    return _FAMILIES[spec.family](spec)
 
 
 __all__ = [

@@ -83,7 +83,8 @@ def _fields_of(row) -> dict:
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One checked (or observed) inequality, re-runnable from its fields."""
+    """One checked (or observed) inequality, re-runnable from its fields and
+    the campaign's nmax."""
 
     suite: str
     trial: int
@@ -216,45 +217,35 @@ def _order_trial(row, rng, nmax, trial) -> list[ReportRow]:
     )]
 
 
-def _bb_trial(row, rng, nmax, trial) -> list[ReportRow]:
-    if trial == 0:
-        t1, t2 = _worked_bb_pair()
-        gen = "worked-pair"
-    else:
-        t1, info1 = _random_timed(rng, nmax, time_model="cone")
-        t2, info2 = _random_timed(rng, nmax, time_model="cone")
-        gen = [info1, info2]
+def _glued_rows(row, suite, driver, t1, t2, gen) -> list[ReportRow]:
+    """The row checking tau-h <= 2 * upper for a glued-space driver (`bb_gh`
+    or `fd_hh`), with the driver's interval under `<suite>_lower/_upper`."""
     tau = tau_h_distance(t1, t2)
-    approx = bb_gh(t1, t2)
+    approx = driver(t1, t2)
     return [row(
-        "tau-h<=2*bb-gh-upper",
+        f"tau-h<=2*{approx.kind.value}-upper",
         t1,
         t2,
         tau.upper,
         2.0 * approx.upper,
         tau_h=tau.upper,
-        bb_lower=approx.lower,
-        bb_upper=approx.upper,
+        **{f"{suite}_lower": approx.lower, f"{suite}_upper": approx.upper},
         gen=gen,
     )]
+
+
+def _bb_trial(row, rng, nmax, trial) -> list[ReportRow]:
+    if trial == 0:
+        return _glued_rows(row, "bb", bb_gh, *_worked_bb_pair(), "worked-pair")
+    t1, info1 = _random_timed(rng, nmax, time_model="cone")
+    t2, info2 = _random_timed(rng, nmax, time_model="cone")
+    return _glued_rows(row, "bb", bb_gh, t1, t2, [info1, info2])
 
 
 def _fd_trial(row, rng, nmax, trial) -> list[ReportRow]:
     t1, info1 = _random_timed(rng, nmax, time_model="set-cone")
     t2, info2 = _random_timed(rng, nmax, time_model="set-cone")
-    tau = tau_h_distance(t1, t2)
-    approx = fd_hh(t1, t2)
-    return [row(
-        "tau-h<=2*fd-hh-upper",
-        t1,
-        t2,
-        tau.upper,
-        2.0 * approx.upper,
-        tau_h=tau.upper,
-        fd_lower=approx.lower,
-        fd_upper=approx.upper,
-        gen=[info1, info2],
-    )]
+    return _glued_rows(row, "fd", fd_hh, t1, t2, [info1, info2])
 
 
 def _limits_trial(row, rng, nmax, trial) -> list[ReportRow]:
@@ -267,20 +258,8 @@ def _limits_trial(row, rng, nmax, trial) -> list[ReportRow]:
     report = structure_report(y1, delta=0.0)
     zeros = np.array(report.zero_set, dtype=int)
     spread = float(np.abs(y1.tau[None, :] - y1.d[zeros, :]).max())
-    rows.append(
-        row(
-            "zero-diam<=4eps", x_bb, y1,
-            report.zero_diam, 4.0 * eps,
-            eps=eps, gen=[info_x, info_y1],
-        )
-    )
-    rows.append(
-        row(
-            "tau-vs-dist<=4eps", x_bb, y1,
-            spread, 4.0 * eps,
-            eps=eps, gen=[info_x, info_y1],
-        )
-    )
+    for check, lhs in (("zero-diam<=4eps", report.zero_diam), ("tau-vs-dist<=4eps", spread)):
+        rows.append(row(check, x_bb, y1, lhs, 4.0 * eps, eps=eps, gen=[info_x, info_y1]))
     ratio = spread / eps if eps > 0 else 0.0
     rows.append(
         row(
@@ -338,34 +317,29 @@ def _sample_enumeration_costs(rng, d1, d2, tau1, tau2, count):
     return _maxmin(rho)
 
 
+def _embedding_row(row, check, a, b, result, embed, **extra):
+    """Row checking that embedding both spaces along the result's certificate
+    reproduces its optimum."""
+    e1, e2 = enumerations_from_correspondence(result.certificate)
+    cert = hausdorff_sup(embed(a, e1), embed(b, e2))
+    return row(check, a, b, abs(cert - result.upper), 1e-12, cert=cert, **extra)
+
+
 def _certificates_trial(row, rng, nmax, trial) -> list[ReportRow]:
     x1, m1, s1 = _random_space(rng, nmax)
     x2, m2, s2 = _random_space(rng, nmax)
     t1, info1 = _random_timed(rng, nmax)
     t2, info2 = _random_timed(rng, nmax)
-    rows = []
-
     kappa = kappa_gh_distance(x1, x2)
-    e1, e2 = enumerations_from_correspondence(kappa.certificate)
-    cert = hausdorff_sup(frechet_embed(x1, e1), frechet_embed(x2, e2))
-    rows.append(
-        row(
-            "kappa-cert-equal", x1, x2,
-            abs(cert - kappa.upper), 1e-12,
-            kappa=kappa.upper, cert=cert, models=[m1, m2], seeds=[s1, s2],
-        )
-    )
-
+    rows = [_embedding_row(
+        row, "kappa-cert-equal", x1, x2, kappa, frechet_embed,
+        kappa=kappa.upper, models=[m1, m2], seeds=[s1, s2],
+    )]
     tau = tau_h_distance(t1, t2)
-    f1, f2 = enumerations_from_correspondence(tau.certificate)
-    tcert = hausdorff_sup(timed_frechet_embed(t1, f1), timed_frechet_embed(t2, f2))
-    rows.append(
-        row(
-            "tau-cert-equal", t1, t2,
-            abs(tcert - tau.upper), 1e-12,
-            tau_h=tau.upper, cert=tcert, gen=[info1, info2],
-        )
-    )
+    rows.append(_embedding_row(
+        row, "tau-cert-equal", t1, t2, tau, timed_frechet_embed,
+        tau_h=tau.upper, gen=[info1, info2],
+    ))
 
     gh = gh_distance(x1, x2)
     dis = distortion(gh.certificate, x1, x2)
@@ -380,26 +354,16 @@ def _certificates_trial(row, rng, nmax, trial) -> list[ReportRow]:
         )
     )
 
-    kappa_samples = _sample_enumeration_costs(
-        rng, x1.d, x2.d, None, None, SAMPLE_COUNT
-    )
-    rows.append(
-        row(
-            "kappa-samples-no-better", x1, x2,
-            kappa.upper, float(kappa_samples.min()) + 1e-12,
-            samples=SAMPLE_COUNT,
+    # The generator draws kappa-gh's samples first, then tau-h's: swapping
+    # them changes both rows.
+    for check, a, b, result, taus in (
+        ("kappa-samples-no-better", x1, x2, kappa, (None, None)),
+        ("tau-samples-no-better", t1, t2, tau, (t1.tau, t2.tau)),
+    ):
+        samples = _sample_enumeration_costs(rng, a.d, b.d, *taus, SAMPLE_COUNT)
+        rows.append(
+            row(check, a, b, result.upper, float(samples.min()) + 1e-12, samples=SAMPLE_COUNT)
         )
-    )
-    tau_samples = _sample_enumeration_costs(
-        rng, t1.d, t2.d, t1.tau, t2.tau, SAMPLE_COUNT
-    )
-    rows.append(
-        row(
-            "tau-samples-no-better", t1, t2,
-            tau.upper, float(tau_samples.min()) + 1e-12,
-            samples=SAMPLE_COUNT,
-        )
-    )
     return rows
 
 

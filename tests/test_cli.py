@@ -218,6 +218,7 @@ def test_campaign_reports_failures(tmp_path, capsys, monkeypatch):
     assert "FAIL suite=sandwich" in err
     assert "trial=0" in err
     assert "seed=7" in err
+    assert "nmax=4" in err
 
 
 def test_sequence_command(tmp_path, capsys):

@@ -210,7 +210,7 @@ def loop_triangle_margin(d):
 
 
 @pytest.mark.parametrize("model", ["euclidean", "graph"])
-@pytest.mark.parametrize("n", [3, 4, 7, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12])
 def test_triangle_margin_matches_the_loop(model, n):
     for seed in range(4):
         d = tml.random_metric_space(seed, n, model=model).d
@@ -231,6 +231,24 @@ def test_perturb_family_preserves_class_and_decays():
     for j, value in enumerate(values):
         assert value <= values[0] * 0.5**j + 1e-12
     assert values[0] > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_perturb_family_on_bases_too_small_for_a_triangle(n):
+    # Below 3 points there is no triangle to bound the amplitude, and at 1
+    # point the diameter pair is the diagonal.
+    for seed in range(4):
+        base = bb_base(seed=seed, n=n)
+        elements, limit = tml.build_sequence(tml.SequenceSpec("perturb-geometric", base, 4, 0.5, seed))
+        assert limit is base
+        values = []
+        for element in elements:
+            assert tml.metric_violations(element.d) == []
+            assert tml.time_violations(element.base, element.tau) == []
+            assert tml.classify(element) is tml.SpaceClass.BIG_BANG
+            values.append(tml.tau_h_distance(element, base).upper)
+        for j, value in enumerate(values):
+            assert value <= values[0] * 0.5**j + 1e-12, (seed, j)
 
 
 def test_perturb_family_on_generic_base():

@@ -181,6 +181,22 @@ def test_trial_seeds_follow_the_suite_place_and_the_trial():
             assert recorded == seeds, (suite, trial)
 
 
+@pytest.mark.parametrize("nmax", [2, 4])
+def test_a_row_reruns_from_its_fields_and_the_campaign_nmax(nmax):
+    # nmax bounds the point-count draws and is no column, so a row reruns
+    # from its own suite, trial and seed together with the campaign's nmax.
+    rows = tml.run_suite(tml.CampaignConfig(suite="all", trials=6, nmax=nmax, seed=3))
+    for row in rows:
+        if row.trial not in (2, 5):
+            continue
+        rerun = tml.run_suite(tml.CampaignConfig(
+            suite=row.suite, trials=row.trial + 1, nmax=nmax, seed=row.seed
+        ))
+        again = [r for r in rerun if r.trial == row.trial and r.check == row.check]
+        assert again == [row], (row.suite, row.trial, row.check)
+    assert {row.suite for row in rows} == set(tml.SUITES[:-1])
+
+
 def test_runs_are_deterministic():
     cfg = small("sandwich", trials=5)
     assert tml.run_suite(cfg) == tml.run_suite(cfg)
