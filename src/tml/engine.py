@@ -62,17 +62,21 @@ check certificates.
 Both cost families read one tensor, C[id, x, y] = |d1(a, x) - d2(b, y)| for
 pair id a * n2 + b.  A relation's table is rho joined with C[id] over its
 ids, where rho is the time gap for tau-h and zero for every other kind.  The
-profile-gap family (kappa-gh, tau-h) reads the table's Hausdorff value; the
-distortion family (gh, pt-gh, bb-gh, fd-hh) reads its max at the relation's
-own ids, times the kind's scale.
+profile-gap family (kappa-gh, tau-h) reads the table's Hausdorff value.  The
+distortion family (gh, pt-gh, bb-gh, fd-hh) builds no table: it reads the
+relation's pair entries of C, the distortion between each two of its ids,
+and takes their max times the kind's scale.  C is symmetric in its two pairs
+and zero at a repeated pair, so each unordered pair is read once and a
+relation of one pair costs 0.
 
 A scan cut by its budget, or complete within one block, scores candidates in
 blocks, one numpy call chain per block; its first block is the stream's
 cached head.  A block is a table of pair ids, one row per candidate's id
 tuple; rows shorter than the longest repeat their first id.  A repeated id
-changes neither the table nor its max at the row's ids, so padding needs no
-sentinel and no mask, and a row less its repeats is its candidate.  Within a
-block the least value goes to its first row, as in a one-at-a-time scan.
+changes neither the table nor the max over the row's pairs of ids, so
+padding needs no sentinel and no mask, and a row less its repeats is its
+candidate.  Within a block the least value goes to its first row, as in a
+one-at-a-time scan.
 
 Local search holds its relation as a sorted array of pair ids and builds each
 step's whole neighbourhood (every drop and one-endpoint swap that keeps both
@@ -146,9 +150,11 @@ from .spaces import (
 DEFAULT_BUDGET = 5_000_000
 # Candidates scored per numpy call, the length of a stream's cached head, and
 # the longest complete stream scored as blocks rather than walked.  A few
-# hundred amortise the per-call cost; larger blocks only add memory, and at
-# 5 x 5 (2,945 candidates) one block takes 1.4-2.8 times as long as the
-# pruned walk.
+# hundred amortise the per-call cost; larger blocks only add memory.  At
+# 5 x 5 (2,945 candidates), scoring the stream as one block already built
+# takes 0.2-1.1 times as long as the pruned walk of gh, kappa-gh and tau-h
+# (12 cone pairs, medians 0.35-0.5), but generating that block takes 6-10
+# times the walk.
 BLOCK = 512
 
 
@@ -506,6 +512,16 @@ def _stream_table(n1: int, n2: int, zeros: tuple[tuple[int, ...], ...]) -> np.nd
     return table
 
 
+@lru_cache(maxsize=64)
+def _pair_slots(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slots (i, j), i < j, of every pair within a row of `width` ids.
+    Cached: np.triu_indices costs about 15 us, as much as scoring a small
+    block."""
+    i, j = np.triu_indices(width, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _base_of(space) -> FiniteMetricSpace:
     return space.base if isinstance(space, TimedMetricSpace) else space
 
@@ -536,10 +552,12 @@ class _Objective:
     to the array of their per-correspondence costs.  `move_costs(cur, slot,
     new)` scores one local-search step: neighbour m is the relation `cur`
     (sorted pair ids) with the id at slot[m] taken out and new[m] put in, as
-    `_neighbours` builds them.  Both read one relation table per candidate (see the module
-    docstring).  `prefix()` returns `extend(p, ids)`, the bound of `ids +
-    [p]`: at most the cost of every candidate that holds it, never less than
-    the bound of `ids`, and a candidate's cost once it holds all its pairs.
+    `_neighbours` builds them.  `move_costs` reads one relation table per
+    neighbour, as `costs` does in the rho family; the distortion family's
+    `costs` reads each row's pair entries of C (see the module docstring).
+    `prefix()` returns `extend(p, ids)`, the bound of `ids + [p]`: at most
+    the cost of every candidate that holds it, never less than the bound of
+    `ids`, and a candidate's cost once it holds all its pairs.
     It reads only the state stored at depth `len(ids)` and writes depth
     `len(ids) + 1`, so it needs no undo while each call's `ids` is the
     relation last extended to its depth, as in a walk.  A refused id leaves
@@ -619,13 +637,21 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     rho_family = kind in (DistanceKind.KAPPA_GH, DistanceKind.TAU_H)
     scale = 0.5 if kind is DistanceKind.GH else 1.0
 
+    C_flat = C.reshape(-1)
+
     def costs(ids):
+        if not rho_family:
+            # The max of C over the pairs of slots i < j of each row (see
+            # the module docstring); a row of one id reads none and costs 0.
+            i, j = _pair_slots(ids.shape[1])
+            idx = ids[:, i]
+            idx *= len(C)
+            idx += ids[:, j]
+            return C_flat[idx].max(axis=1, initial=0.0) * scale
         table = np.maximum(rho, C[ids[:, 0]])
         for j in range(1, ids.shape[1]):
             np.maximum(table, C[ids[:, j]], out=table)
-        if rho_family:
-            return _maxmin(table)
-        return np.take_along_axis(table.reshape(len(ids), -1), ids, axis=1).max(axis=1) * scale
+        return _maxmin(table)
 
     def move_costs(cur, slot, new):
         # before[s] is rho joined with the tables of the first s ids of cur,

@@ -4,7 +4,8 @@ For every kind: the generic entry ``distance`` equals the kind's driver,
 swapping the arguments and relabelling the points leave ``upper`` unchanged
 bit for bit, a space is at distance zero from itself, and the certificate
 re-evaluates to ``upper``.  The engine's batched cost of a block of relations
-equals the plain per-correspondence function of each relation.  A complete
+equals the plain per-correspondence function of each relation, and the
+Hausdorff value of a stack of tables equals each table's own.  A complete
 scan returns what a plain loop over the stream returns: a stream of one
 block in one batched call from a table cached by shape and zero sets, a
 longer one by a walk that reaches fewer leaves than the stream holds; the
@@ -31,6 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tml
 from tml.errors import (
@@ -105,6 +107,28 @@ def test_distance_properties(kind, data):
     assert call(kind, a, a, (p, p)).upper == 0.0
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    stack=st.tuples(st.integers(0, 40), st.integers(1, 7), st.integers(1, 7)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+    ),
+)
+# Three 2 x 3 tables: all ties, a row minimum deciding, a column minimum deciding.
+@example(stack=np.array([[[1.0] * 3] * 2, [[1.0, 2.5, 2.5], [0.0, 0.0, 0.0]],
+                         [[0.0, 0.0, 2.5], [0.0, 0.5, 1.0]]]))
+def test_stack_maxmin_equals_each_table_alone(stack):
+    # A stack is reduced with its tables innermost; min and max are exact,
+    # so each value is its table's own, on copies and strided views alike.
+    maxmin = tml.spaces._maxmin
+    for view in (stack, stack[:, ::-1], stack.transpose(0, 2, 1), stack[::-1, :, ::-1]):
+        values = maxmin(view)
+        alone = np.array([maxmin(t) for t in view], dtype=np.float64)
+        assert values.shape == (len(view),)
+        assert values.tobytes() == alone.tobytes()
+    for t in stack:
+        assert type(maxmin(t)) is float
+
+
 def covering(rng, pairs, rows, cols):
     """`pairs` plus, for each uncovered row and column, one pair to a random
     point of the other side, so the relation projects onto rows x cols."""
@@ -129,6 +153,12 @@ def ids_of(pairs, n2):
 )
 # The full 4 x 5 grid: every pair can be dropped; set-cone zero sets of two.
 @example(n1=4, n2=5, seed=3, masks=[2**20 - 1], minimal=3)
+# One point on a side.  At 1 x 1 every row is one id, and the distortion
+# family's value is its pair gather's initial 0.0 alone; at 1 x 5 and 5 x 1
+# a row holds every pair.
+@example(n1=1, n2=1, seed=2, masks=[0, 1], minimal=4)
+@example(n1=1, n2=5, seed=7, masks=[0, 2**5 - 1, 5], minimal=4)
+@example(n1=5, n2=1, seed=8, masks=[0, 2**5 - 1, 10], minimal=4)
 def test_block_costs_equal_the_plain_functions(n1, n2, seed, masks, minimal):
     # A block of relations of mixed lengths: random grid subsets made to
     # cover (rarely minimal) and the first minimal correspondences.
