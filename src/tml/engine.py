@@ -27,7 +27,9 @@ directly: every column still uncovered as one leaf, or else each unfrozen
 column alone.  It keeps the ids it holds, a required set first, in one list
 that a scan's one prune hook, ``admit(p, ids)``, reads before id p joins
 it; nothing is ever retracted.  No last-row pair that cannot end in a
-candidate is asked for.
+candidate is asked for.  One generator, ``_stream``, puts a kind's stream
+together from the zero sets alone: it derives each required set, asks the
+hook for the set's ids too and hands the set to the loop to hold.
 
 Each glued objective equals the distortion dis(R) of its correspondence R,
 bit for bit (halving and doubling are exact).  With delta = dis(R) / 2, every
@@ -54,10 +56,10 @@ decodes and the public ``minimal_correspondences`` stream.
 
 Each kind is one objective record (``_objective``): its inputs checked, the
 tensor both cost families read, its batched cost, move cost and prefix bound,
-its zero and required sets.  ``distance`` is the one entry behind the six
-drivers: one scan and one result assembler serve every kind and
-``local_search_upper``.  The plain per-correspondence functions independently
-check certificates.
+its zero sets, off which the anchor and the stream are read.  ``distance``
+is the one entry behind the six drivers: one scan and one result assembler
+serve every kind and ``local_search_upper``.  The plain per-correspondence
+functions independently check certificates.
 
 Both cost families read one tensor, C[id, x, y] = |d1(a, x) - d2(b, y)| for
 pair id a * n2 + b.  A relation's table is rho joined with C[id] over its
@@ -95,25 +97,26 @@ in lexicographic order, each minimal cover of the rest in enumeration order.
 The certificate is the first candidate of least cost in that stream: for gh,
 kappa-gh and tau-h the lexicographically smallest optimum.  The stream
 length is counted without enumerating (``_covers`` times the number of
-sets); the scan is complete exactly when it fits the budget, and
-``explored`` is the smaller of the two.  Completeness and length pick one
-of two paths.  A cut scan, or a complete one of at most ``BLOCK``
-candidates, scores the stream's first ``min(total, budget)`` candidates in
-blocks.  The first ``BLOCK`` come from a table cached per shape and zero
+sets, itself a ``_covers`` count); the scan is complete exactly when it fits
+the budget, and ``explored`` is the smaller of the two.  Completeness and
+length pick one of two paths.  A cut scan, or a complete one of at most
+``BLOCK`` candidates, scores the stream's first ``min(total, budget)``
+candidates in blocks.  The first ``BLOCK`` come from a table cached per shape and zero
 sets (``_stream_table``): the stream depends on nothing else, and the many
 scans of a campaign or a budget-cut round share few keys (1,700 scans, 140
 keys in a 100-trial campaign of every suite).  Only a cut past ``BLOCK``
 generates the rest, a block of ``BLOCK`` at a time.  A longer complete scan
-walks the cover tree once per required set, which the enumerator holds
-first.  Its hook bounds the ids held plus the one asked for, and refuses
-the subtree below when the bound, at most the cost of every candidate
-below, is not below the best candidate held; every candidate below comes
-later in the stream, so an equal one cannot win.  The bound never
-decreases as pairs are added: the scaled distortion of the ids, or the
-Hausdorff value of their rho table, which bounds a node's children a row at
-once.  A leaf's ids are every pair of its candidate, so the bound of its
-last pair is its cost.  Pruning changes no value, certificate or
-``explored`` count.
+walks the same stream with its hook, which is asked for every id, a
+required set's own ids first.  The hook bounds the ids held plus the one
+asked for, and refuses the subtree below when the bound, at most the cost
+of every candidate below, is not below the best candidate held; every
+candidate below comes later in the stream, so an equal one cannot win.  A
+refused id of a required set skips the set, and with it every candidate
+that holds it.  The bound never decreases as pairs are added: the scaled
+distortion of the ids, or the Hausdorff value of their rho table, which
+bounds a node's children a row at once.  A leaf's ids are every pair of
+its candidate, so the bound of its last pair is its cost.  Pruning changes
+no value, certificate or ``explored`` count.
 """
 
 from __future__ import annotations
@@ -483,22 +486,22 @@ def _padded(block) -> np.ndarray:
     return flat.reshape(len(block), width)
 
 
-def _required(n2: int, zeros) -> tuple[tuple[int, ...], ...]:
-    """The minimal correspondences between the zero sets as sorted id
-    tuples, or the empty tuple alone when there are no zero sets."""
+def _stream(n1: int, n2: int, zeros, admit=None):
+    """The set-major candidate stream: for each required set, a minimal
+    correspondence between the zero sets (the empty set alone when there are
+    none), its ids followed by each minimal cover of the rest.  `admit(p,
+    ids)` is asked for every id, a set's own ids first: a set with a refused
+    id is skipped, with every candidate holding it."""
     # Id q between the zero sets is the pair of z1 x z2 at index q.
     zero_ids = [p * n2 + q for p in zeros[0] for q in zeros[1]]
-    return tuple(tuple(map(zero_ids.__getitem__, zp))
-                 for zp in _minimal_id_tuples(*map(len, zeros))) or ((),)
-
-
-def _stream(n1: int, n2: int, zeros, required):
-    """The set-major candidate stream: for each required set in turn, held
-    by the enumerator, that set's ids followed by each minimal cover of the
-    rest."""
-    return chain.from_iterable(
-        _minimal_id_tuples(n1, n2, covered=zeros, held=extra) for extra in required
-    )
+    for zp in list(_minimal_id_tuples(*map(len, zeros))) or [()]:
+        held = []
+        for q in zp:
+            if admit is not None and not admit(zero_ids[q], held):
+                break
+            held.append(zero_ids[q])
+        else:
+            yield from _minimal_id_tuples(n1, n2, admit, zeros, held)
 
 
 @lru_cache(maxsize=256)
@@ -506,8 +509,9 @@ def _stream_table(n1: int, n2: int, zeros: tuple[tuple[int, ...], ...]) -> np.nd
     """The first BLOCK candidates of the stream of n1 x n2 points with these
     zero sets as one read-only padded id table (see ``_padded``).  The stream
     depends on nothing else, so one table serves every scan of its shape and
-    zero sets."""
-    table = _padded(list(islice(_stream(n1, n2, zeros, _required(n2, zeros)), BLOCK)))
+    zero sets.  ``_scan``'s cut past BLOCK and its walk read the same
+    ``_stream``."""
+    table = _padded(list(islice(_stream(n1, n2, zeros), BLOCK)))
     table.flags.writeable = False
     return table
 
@@ -568,9 +572,9 @@ class _Objective:
     of p's row in one numpy call, and later siblings in that range read
     their table and bound from it.
     `zeros` holds the zero sets (for pt-gh and bb-gh the anchor as 1 x 1
-    zero sets; none for gh/kappa-gh/tau-h), `required` the minimal
-    correspondences between them as sorted id tuples, or the empty tuple
-    alone.  `floor` is the kind's simple lower bound.
+    zero sets; none for gh/kappa-gh/tau-h); the anchor, the required sets
+    and the stream are read off them.  `floor` is the kind's simple lower
+    bound.
     """
 
     kind: DistanceKind
@@ -580,9 +584,13 @@ class _Objective:
     move_costs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     prefix: Callable[[], Callable[[int, Sequence[int]], float]]
     zeros: tuple[list[int], list[int]]
-    required: tuple[tuple[int, ...], ...]
     floor: float
-    anchor: tuple[int, int] | None = None
+
+    @property
+    def anchor(self) -> tuple[int, int] | None:
+        """The basepoint pair of pt-gh and bb-gh, read off their 1 x 1 zero sets."""
+        pointed = self.kind in (DistanceKind.PT_GH, DistanceKind.BB_GH)
+        return (self.zeros[0][0], self.zeros[1][0]) if pointed else None
 
     @property
     def exact(self) -> bool:
@@ -599,7 +607,6 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
     ):
         raise TypeError(f"{kind.value} needs timed spaces")
     x1, x2 = _base_of(a), _base_of(b)
-    anchor = None
     zeros = ([], [])
     if kind is DistanceKind.PT_GH:
         pair = tuple(basepoints) if isinstance(basepoints, Iterable) else ()
@@ -607,8 +614,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
             raise InvalidBasepoint(f"pt-gh needs a basepoint pair, got {basepoints!r}")
         for p, x in zip(pair, (x1, x2)):
             _check_index(p, x.n, "basepoint", InvalidBasepoint)
-        anchor = (int(pair[0]), int(pair[1]))
-        zeros = ([anchor[0]], [anchor[1]])
+        zeros = ([int(pair[0])], [int(pair[1])])
     elif kind in (DistanceKind.BB_GH, DistanceKind.FD_HH):
         # One structure report per side serves the class check and the
         # anchor or zero sets.
@@ -621,17 +627,14 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
             if kind is DistanceKind.FD_HH and space_class is SpaceClass.GENERIC:
                 raise NotFutureDeveloped(side)
         zeros = tuple(list(r.zero_set) for r in reports)
-        if kind is DistanceKind.BB_GH:
-            anchor = (zeros[0][0], zeros[1][0])
     elif kind not in (DistanceKind.GH, DistanceKind.KAPPA_GH, DistanceKind.TAU_H):
         raise ValueError(f"unknown distance kind {kind!r}")
     n2 = x2.n
-    rows, cols = np.repeat(np.arange(x1.n), n2), np.tile(np.arange(n2), x1.n)
     # C[id, a', b'] is also the distortion of the pairs id and a' * n2 + b'.
     # The distortion family scales it: gh is half the distortion, and each
     # glued cost equals it (see above).  Rounding is monotone, so the scaled
     # max is the max of the scaled entries, bit for bit.
-    C = np.abs(x1.d[rows][:, :, None] - x2.d[cols][:, None, :])
+    C = np.abs(x1.d[:, None, :, None] - x2.d[None, :, None, :]).reshape(x1.n * n2, x1.n, n2)
     rho = (np.abs(a.tau[:, None] - b.tau[None, :]) if kind is DistanceKind.TAU_H
            else np.zeros((x1.n, n2)))
     rho_family = kind in (DistanceKind.KAPPA_GH, DistanceKind.TAU_H)
@@ -715,9 +718,7 @@ def _objective(kind, a, b, tol: float = DEFAULT_TOL, basepoints=None) -> _Object
         move_costs=move_costs,
         prefix=prefix,
         zeros=zeros,
-        required=_required(n2, zeros),
         floor=simple_lower_bounds(kind, a, b),
-        anchor=anchor,
     )
 
 
@@ -729,9 +730,9 @@ def _scan(obj: _Objective, total: int, budget: int):
     stream's cached head (``_stream_table``) up to the count, then, for a cut
     past BLOCK, the rest generated in blocks of BLOCK.  Each block keeps its
     first least row, less its padding.  A longer stream that fits the budget
-    is walked once per required set, bounded and then held by the
-    enumerator; `admit` only compares the bound of the ids held plus the one
-    asked for with the best, and a leaf scores its last pair's bound.
+    is walked: ``_stream`` asks `admit` for every id, a required set's own
+    first, and `admit` only compares the bound of the ids held plus the one
+    asked for with the best; a leaf scores its last pair's bound.
     """
     best, best_ids = math.inf, None
     n1, n2, zeros = obj.n1, obj.n2, obj.zeros
@@ -739,7 +740,7 @@ def _scan(obj: _Objective, total: int, budget: int):
         count = min(total, budget)
         blocks = [_stream_table(n1, n2, tuple(map(tuple, zeros)))[:count]]
         if count > BLOCK:
-            rest = islice(_stream(n1, n2, zeros, obj.required), BLOCK, count)
+            rest = islice(_stream(n1, n2, zeros), BLOCK, count)
             blocks = chain(blocks, map(_padded, iter(lambda: list(islice(rest, BLOCK)), [])))
 
         def first_least(table):
@@ -758,17 +759,9 @@ def _scan(obj: _Objective, total: int, budget: int):
             last = extend(p, ids)
             return last < best
 
-        def walk(extra):
-            nonlocal last
-            for k in range(len(extra)):
-                last = extend(extra[k], extra[:k])
-            for cand in _minimal_id_tuples(n1, n2, admit, zeros, extra):
-                # A leaf comes right after its last id is admitted, and its
-                # prefix holds every id of its candidate: the bound of that
-                # id is the candidate's cost.
-                yield last, cand
-
-        found = chain.from_iterable(map(walk, obj.required))
+        # A leaf comes right after its last id is admitted, and its prefix
+        # holds every id of its candidate: the bound of that id is its cost.
+        found = ((last, cand) for cand in _stream(n1, n2, zeros, admit))
     for value, cand in found:
         if value < best:
             best, best_ids = value, cand
@@ -821,7 +814,7 @@ def distance(
     _check_count(budget, "budget", 1)
     obj = _objective(kind, a, b, tol, basepoints)
     c1, c2 = (len(z) for z in obj.zeros)
-    total = len(obj.required) * _covers(obj.n1 - c1, c1, obj.n2 - c2, c2)
+    total = (_covers(c1, 0, c2, 0) if c1 else 1) * _covers(obj.n1 - c1, c1, obj.n2 - c2, c2)
     value, ids = _scan(obj, total, budget)
     complete = total <= budget
     return _result(obj, value, ids, min(total, budget), complete, not complete)

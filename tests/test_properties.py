@@ -8,7 +8,10 @@ equals the plain per-correspondence function of each relation, and the
 Hausdorff value of a stack of tables equals each table's own.  A complete
 scan returns what a plain loop over the stream returns: a stream of one
 block in one batched call from a table cached by shape and zero sets, a
-longer one by a walk that reaches fewer leaves than the stream holds; the
+longer one by a walk that reaches fewer leaves than the stream holds and
+starts no cover walk for a required set already beaten.  The stream, built
+from the zero sets alone, is the family's; it asks its hook for every id,
+a required set's own first, and skips a set at its first refused id.  The
 glued objectives equal the distortion bit for bit, which is how the engine
 scores them.  The prefix bounds the scan prunes on, with a required pair set
 held before the path, never decrease as pairs are added, equal the batched
@@ -143,6 +146,17 @@ def ids_of(pairs, n2):
     return tuple(a * n2 + b for a, b in pairs)
 
 
+def required_sets(obj):
+    """The required sets of an objective's stream, in stream order: the
+    minimal correspondences between its zero sets as sorted id tuples, or
+    the empty tuple alone when it has none."""
+    z1, z2 = obj.zeros
+    if not z1:
+        return [()]
+    return [tuple(z1[i] * obj.n2 + z2[j] for i, j in c.pairs)
+            for c in tml.minimal_correspondences(len(z1), len(z2))]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     n1=st.integers(1, 5),
@@ -225,7 +239,22 @@ def plain_cost(kind, a, b, anchor, zeros):
     }[kind]
 
 
+# Oracle runs by kind, spaces and anchor.  At 5 x 5 with three-point zero
+# sets the fd-hh oracle scores 44,175 joins and takes seconds; two tests
+# ask for the same one.
+_plain_scans = {}
+
+
 def plain_scan(kind, a, b, anchor):
+    """`_plain_scan`, run once for each kind, pair of spaces and anchor."""
+    key = (kind, anchor if kind in (K.PT_GH, K.BB_GH) else None,
+           *(t.d.tobytes() + t.tau.tobytes() for t in (a, b)))
+    if key not in _plain_scans:
+        _plain_scans[key] = _plain_scan(kind, a, b, anchor)
+    return _plain_scans[key]
+
+
+def _plain_scan(kind, a, b, anchor):
     """The kind's candidate stream (`family_stream`) scored one candidate at
     a time: the least cost, the first candidate attaining it as a sorted
     pair tuple and the stream's length, as a complete scan must return them,
@@ -277,6 +306,9 @@ MULTI_BLOCK = ((4, 5), (5, 4), (5, 5))
 # Three-point zero sets: fifteen walks for fd-hh, 12 of whose 150
 # candidates tie at the least cost.
 @example(shape=(4, 4), seed=26, graphs=True, zeros=(3, 3))
+# Fifteen required sets and 1,965 candidates for fd-hh, walked: 12 of the
+# sets are skipped at their own ids, with every candidate holding them.
+@example(shape=(5, 5), seed=5, graphs=True, zeros=(3, 3))
 @given(
     shape=st.sampled_from(MULTI_BLOCK),
     seed=st.integers(0, 2**16),
@@ -335,8 +367,9 @@ def test_complete_scan_scores_one_block_at_once_and_walks_longer_streams(monkeyp
     for kind, x, y, sizes in cases:
         obj = engine._objective(kind, x, y)
         z1, z2 = obj.zeros
-        total = len(obj.required) * engine._covers(x.n - len(z1), len(z1), y.n - len(z2), len(z2))
-        assert (len(obj.required), total) == sizes
+        sets = len(required_sets(obj))
+        total = sets * engine._covers(x.n - len(z1), len(z1), y.n - len(z2), len(z2))
+        assert (sets, total) == sizes
         calls, leaves = [], []
 
         def counted(n1, n2, admit=None, covered=((), ()), held=()):
@@ -360,6 +393,36 @@ def test_complete_scan_scores_one_block_at_once_and_walks_longer_streams(monkeyp
         best, best_pairs, explored, _ = plain_scan(kind, x, y, None)
         assert (value, tuple(sorted(ids))) == (best, ids_of(best_pairs, y.n))
         assert explored == total
+
+
+def test_a_complete_walk_skips_the_required_sets_already_beaten(monkeypatch):
+    # fd-hh at 5 x 5 with three-point zero sets on both sides: 15 required
+    # sets, each followed by its 131 minimal covers of the rest, so 1,965
+    # candidates, walked.  The hook is asked for a set's own ids first, and
+    # a set whose ids already bound at or above the best candidate held is
+    # skipped: only 3 of the 15 sets start a cover walk.  The value,
+    # certificate and count are the plain loop's.
+    engine = tml.engine
+    x1 = tml.random_metric_space(5, 5, model="graph")
+    x2 = tml.random_metric_space(6, 5, model="graph")
+    a, b = tml.make_future_developed(x1, [1, 2, 4]), tml.make_future_developed(x2, [0, 2, 4])
+    walk, walks = engine._minimal_id_tuples, []
+
+    def counted(n1, n2, admit=None, covered=((), ()), held=()):
+        # Only a cover walk passes a prune hook.
+        if admit is not None:
+            walks.append(tuple(held))
+        yield from walk(n1, n2, admit, covered, held)
+
+    monkeypatch.setattr(engine, "_minimal_id_tuples", counted)
+    got = tml.fd_hh(a, b)
+    monkeypatch.undo()
+    sets = required_sets(engine._objective(K.FD_HH, a, b))
+    assert len(sets) == 15 and len(walks) == 3
+    assert walks == [s for s in sets if s in walks]
+    best, best_pairs, explored, _ = plain_scan(K.FD_HH, a, b, None)
+    assert (got.upper, got.certificate.pairs, got.explored) == (best, best_pairs, explored)
+    assert explored == 1965 and not got.budget_exhausted
 
 
 def test_stream_tables_are_cached_by_shape_and_zero_sets(monkeypatch):
@@ -506,7 +569,7 @@ def test_prefix_bounds_never_decrease_and_never_pass_a_cost(
         # A complete scan holds each required set before the walk's path,
         # and scores a leaf by the bound of its last pair.  The bound of
         # every prefix is its own batched cost.
-        for extra in obj.required:
+        for extra in required_sets(obj):
             cand = extra + ids
             held = {divmod(i, n2) for i in cand}
             assert in_family(held, n1, n2, z1, z2)
@@ -629,6 +692,64 @@ def enumerator_events(enumerate_, n1, n2, covered, refused, after, held=()):
             assert events[-1] == ("ask", t[:-1], t[-1], True)
         events.append(("yield", t))
     return events
+
+
+@st.composite
+def stream_configs(draw):
+    """A shape of at most 4 x 4, zero sets of one to three points on both
+    sides or on neither, and refused ids, some of them between the zero
+    sets."""
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    zeros = ([], [])
+    if draw(st.booleans()):
+        zeros = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
+                      for n in (n1, n2))
+    inside = [p * n2 + q for p in zeros[0] for q in zeros[1]]
+    refused = draw(st.frozensets(st.integers(0, n1 * n2 - 1), max_size=3))
+    if inside:
+        refused |= draw(st.frozensets(st.sampled_from(inside), max_size=2))
+    return n1, n2, zeros, refused
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(config=stream_configs())
+# Fifteen required sets; two refused ids between the zero sets and one
+# outside them.
+@example(config=(4, 4, ([0, 1, 3], [1, 2, 3]), frozenset({6, 13, 9})))
+def test_the_stream_asks_for_every_id_and_skips_refused_sets(config):
+    # Unhooked, the stream is the family's (conftest), each candidate its
+    # required set's ids, then its cover's.  Hooked, it asks for each set's
+    # ids in order, each with the ids before it held, and skips the set at
+    # its first refused id; otherwise it walks the set's covers with the
+    # set held.  Every id of every candidate is asked for and admitted
+    # before the candidate comes, so a hook that refuses only ids between
+    # the zero sets drops exactly the candidates of the sets holding one.
+    n1, n2, zeros, refused = config
+    engine = tml.engine
+    family = [(ids_of(extra, n2), ids_of(rest, n2))
+              for extra, rest in family_stream(n1, n2, *zeros)]
+    assert list(engine._stream(n1, n2, zeros)) == [s + r for s, r in family]
+    events, expected = [], []
+
+    def ask(p, ids):
+        events.append(("ask", tuple(ids), p, p not in refused))
+        return p not in refused
+
+    for t in engine._stream(n1, n2, zeros, ask):
+        assert {("ask", t[:k], p, True) for k, p in enumerate(t)} <= set(events)
+        events.append(("yield", t))
+    for s in dict.fromkeys(s for s, _ in family):
+        for k, p in enumerate(s):
+            expected.append(("ask", s[:k], p, p not in refused))
+            if p in refused:
+                break
+        else:
+            expected += enumerator_events(engine._minimal_id_tuples, n1, n2, zeros, refused,
+                                          frozenset(), s)
+    assert events == expected
+    inside = {p for p in refused if p // n2 in zeros[0] and p % n2 in zeros[1]}
+    kept = engine._stream(n1, n2, zeros, lambda p, ids: p not in inside)
+    assert list(kept) == [s + r for s, r in family if not inside & set(s)]
 
 
 def dead_ends_dropped(events, n1, n2, stream):
